@@ -8,24 +8,41 @@ at least 95% of cells served from cache on an identical resweep — is
 recorded in the volatile timing columns (``bench-diff`` compares only
 the stable columns: cell counts, hit/miss/store counts, hit rate, and
 the bit-identity flag).
+
+A second part times one large sparse cell — TokenFlood on a lollipop
+with N=704 (a 192-clique, 18k edges) on the batch backend — where the
+cache's own costs (keying the topology, fingerprinting the trace,
+storing the result) are large next to the run.  Medians over
+:data:`LOLLIPOP_REPEATS` interleaved repeats; asserted: a warm hit
+takes at most 0.2× the uncached ``replicate``, and a cold store at most
+1.5× the *verified* uncached run (``replicate`` plus one
+``trace_fingerprint`` per run, which every store must compute).
 """
 
 from __future__ import annotations
 
+import functools
+import statistics
 import tempfile
 import time
 
 from repro.analysis.experiments.base import ExperimentResult
 from repro.analysis.sweep import cartesian_sweep
 from repro.cache.store import cache_counters
+from repro.faults.check import trace_fingerprint
 from repro.network.adversaries import StaticAdversary
-from repro.network.generators import line_edges
+from repro.network.generators import line_edges, lollipop_edges
 from repro.protocols.flooding import TokenFloodNode
 from repro.sim.config import RunConfig
 from repro.sim.factories import BoundNode, Constant, NodeSet
-from repro.sim.runner import run_protocol
+from repro.sim.runner import replicate, run_protocol
 
 GRID = {"n": [8, 12, 16, 20], "seed": [1, 2, 3, 4, 5, 6]}  # 24 cells
+
+#: the large sparse cell: (N, clique size, rounds) and its coin seeds
+LOLLIPOP = (704, 192, 10)
+LOLLIPOP_SEEDS = (1, 2)
+LOLLIPOP_REPEATS = 5
 
 
 def _bench_cell(n: int, seed: int) -> dict:
@@ -44,23 +61,61 @@ def _bench_cell(n: int, seed: int) -> dict:
     }
 
 
-def _timed_sweep(config: RunConfig):
+def _timed(fn):
+    """``(fn(), wall seconds, cache-counter deltas)``."""
     before = cache_counters()
     t0 = time.perf_counter()
-    rows = cartesian_sweep(GRID, _bench_cell, config=config)
+    value = fn()
     seconds = time.perf_counter() - t0
     after = cache_counters()
-    delta = {k: after[k] - before[k] for k in after}
-    return rows, seconds, delta
+    return value, seconds, {k: after[k] - before[k] for k in after}
+
+
+def _lollipop() -> dict:
+    """Uncached, verified-uncached, cold and warm passes over the large
+    sparse cell, interleaved per repeat; medians of each."""
+    n, k, rounds = LOLLIPOP
+    ids = tuple(range(n))
+    make_nodes = NodeSet(ids, BoundNode(TokenFloodNode, source=n - 1))
+    make_adv = Constant(StaticAdversary(ids, lollipop_edges(list(ids[:k]), list(ids[k:]))))
+
+    def run(cache, cache_dir=None):
+        cfg = RunConfig(max_rounds=rounds, backend="batch", workers=0,
+                        cache=cache, cache_dir=cache_dir)
+        return replicate(make_nodes, make_adv, list(LOLLIPOP_SEEDS), cfg)
+
+    def verified():
+        return [trace_fingerprint(r.trace) for r in run("off").runs]
+
+    seconds = {"uncached": [], "verified": [], "cold": [], "warm": []}
+    with tempfile.TemporaryDirectory(prefix="repro-exp-cache-lollipop-") as tmp:
+        for i in range(LOLLIPOP_REPEATS):
+            seconds["uncached"].append(_timed(lambda: run("off"))[1])
+            fingerprints, verified_s, _ = _timed(verified)
+            seconds["verified"].append(verified_s)
+            _, cold_s, cold = _timed(lambda: run("rw", f"{tmp}/{i}"))
+            seconds["cold"].append(cold_s)
+            served, warm_s, warm = _timed(lambda: run("rw", f"{tmp}/{i}"))
+            seconds["warm"].append(warm_s)
+    return {
+        "seconds": {name: statistics.median(v) for name, v in seconds.items()},
+        "cold": cold,
+        "warm": warm,
+        "bit_identical": [r.fingerprint for r in served.runs] == fingerprints,
+    }
 
 
 def _run_experiment() -> ExperimentResult:
     with tempfile.TemporaryDirectory(prefix="repro-exp-cache-") as tmp:
         cfg = RunConfig(cache="rw", cache_dir=tmp)
-        cold_rows, cold_s, cold = _timed_sweep(cfg)
-        warm_rows, warm_s, warm = _timed_sweep(cfg)
+        sweep = functools.partial(cartesian_sweep, GRID, _bench_cell, config=cfg)
+        cold_rows, cold_s, cold = _timed(sweep)
+        warm_rows, warm_s, warm = _timed(sweep)
     n_cells = len(cold_rows)
     hit_rate = warm["hit"] / n_cells if n_cells else 0.0
+    big = _lollipop()
+    big_s = big["seconds"]
+    label = "lollipop N={} k={} R={}".format(*LOLLIPOP)
     result = ExperimentResult(
         exp_id="EXP-CACHE",
         title=f"Result cache: identical {n_cells}-cell sweep, cold vs warm",
@@ -70,16 +125,27 @@ def _run_experiment() -> ExperimentResult:
              round(cold["hit"] / n_cells, 3), round(cold_s, 4)],
             ["warm", n_cells, warm["hit"], warm["miss"], warm["store"],
              round(hit_rate, 3), round(warm_s, 4)],
+            [f"{label} uncached", 1, 0, 0, 0, 0.0, round(big_s["uncached"], 4)],
+            [f"{label} verified", 1, 0, 0, 0, 0.0, round(big_s["verified"], 4)],
+            [f"{label} cold", 1, big["cold"]["hit"], big["cold"]["miss"],
+             big["cold"]["store"], 0.0, round(big_s["cold"], 4)],
+            [f"{label} warm", 1, big["warm"]["hit"], big["warm"]["miss"],
+             big["warm"]["store"], 1.0, round(big_s["warm"], 4)],
         ],
         summary={
             "warm_hit_rate": round(hit_rate, 3),
             "bit_identical": warm_rows == cold_rows,
             "warm_stores": warm["store"],
+            "lollipop_bit_identical": big["bit_identical"],
         },
         notes=[
             "keys hold only the semantic run identity (seed, max_rounds, "
-            "bandwidth_factor, check_connected, cell params) — backend and "
-            "workers never enter, so reference and batch runs share entries",
+            "bandwidth_factor, check_connected, cell params) and the source "
+            "digest of sim/protocols/network/core/cc — backend and workers "
+            "never enter, so reference and batch runs share entries",
+            f"{label}: batch backend, seeds {list(LOLLIPOP_SEEDS)}, median of "
+            f"{LOLLIPOP_REPEATS} interleaved repeats; 'verified' = replicate + "
+            "trace_fingerprint per run (what a cold store must also compute)",
         ],
     )
     result.timings.update(
@@ -87,6 +153,12 @@ def _run_experiment() -> ExperimentResult:
         warm_seconds=round(warm_s, 4),
         speedup=round(cold_s / warm_s, 3) if warm_s else None,
         wall_seconds=cold_s + warm_s,
+        lollipop_uncached_seconds=round(big_s["uncached"], 4),
+        lollipop_verified_seconds=round(big_s["verified"], 4),
+        lollipop_cold_seconds=round(big_s["cold"], 4),
+        lollipop_warm_seconds=round(big_s["warm"], 4),
+        lollipop_warm_over_uncached=round(big_s["warm"] / big_s["uncached"], 3),
+        lollipop_cold_over_verified=round(big_s["cold"] / big_s["verified"], 3),
     )
     return result
 
@@ -99,3 +171,9 @@ def test_result_cache(benchmark, exp_output):
     assert result.summary["warm_hit_rate"] >= 0.95
     assert result.summary["bit_identical"] is True
     assert result.summary["warm_stores"] == 0
+    # large sparse cell: a warm hit is far cheaper than the
+    # run, and a cold store costs little beyond the verification it
+    # must do anyway
+    assert result.summary["lollipop_bit_identical"] is True
+    assert result.timings["lollipop_warm_over_uncached"] <= 0.2
+    assert result.timings["lollipop_cold_over_verified"] <= 1.5

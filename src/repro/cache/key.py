@@ -29,18 +29,44 @@ Three rules shape the key:
   anything without a stable identity raises :class:`UncacheableError`,
   and the caller runs uncached.  A wrong key would serve wrong results;
   no key just serves slowly.
+
+Two more things make up a key (``KEY_VERSION`` 2):
+
+* **Flat frozensets hash once.**  A topology is a frozenset of tens of
+  thousands of ``(u, v)`` tuples, and sorting it by each member's JSON
+  costs more than the run it names.  A frozenset whose members are all
+  of exact type ``None``/``bool``/``int``/``str``, or tuples of those,
+  becomes ``["fset", sha256 of its sorted member reprs]`` — ``repr``
+  keeps ``1``, ``True`` and ``"1"`` apart.  The digest is memoized by
+  object identity (never by equality: ``frozenset({1}) ==
+  frozenset({True})``), and each memo entry holds a weak reference that
+  is checked on every hit, so a dead set's reused id is never served.
+  Mutable sets and frozensets with other members keep the structural
+  ``["set", ...]`` token.
+
+* **Code identity.**  :func:`code_digest` hashes the source of the
+  packages that decide what a run computes (:data:`CODE_PACKAGES`).
+  Editing a protocol or the engine turns every old entry into a miss
+  rather than a stale hit.  It is computed once, at the first key,
+  never at import.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import pathlib
 import types
+import weakref
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "KEY_VERSION",
     "SEMANTIC_CONFIG_FIELDS",
+    "CODE_PACKAGES",
+    "source_digest",
+    "code_digest",
     "UncacheableError",
     "cache_token",
     "semantic_config",
@@ -49,7 +75,7 @@ __all__ = [
 
 #: Bump when the token grammar or key payload layout changes: old
 #: entries then simply never match (a miss, never a wrong answer).
-KEY_VERSION = 1
+KEY_VERSION = 2
 
 #: The RunConfig fields that can change a run's result.  Everything
 #: else — workers, backend, vector_replicas, dense_node_limit,
@@ -58,6 +84,9 @@ KEY_VERSION = 1
 SEMANTIC_CONFIG_FIELDS: Tuple[str, ...] = (
     "seed", "max_rounds", "bandwidth_factor", "check_connected",
 )
+
+#: The ``repro`` packages whose source decides what a run computes.
+CODE_PACKAGES: Tuple[str, ...] = ("sim", "protocols", "network", "core", "cc")
 
 #: Recursion ceiling for :func:`cache_token` — far above any real
 #: factory graph; a cycle hits it and raises instead of spinning.
@@ -85,6 +114,57 @@ def _sorted_by_encoding(tokens: list) -> list:
     return sorted(tokens, key=lambda t: json.dumps(t, sort_keys=True))
 
 
+_FLAT_TYPES = frozenset({type(None), bool, int, str})
+
+#: id(frozenset) -> (weak reference to it, digest); see the module doc.
+_FSET_DIGESTS: Dict[int, Tuple["weakref.ref[frozenset]", str]] = {}
+
+
+def _is_flat(member: Any) -> bool:
+    kind = type(member)
+    return kind in _FLAT_TYPES or (
+        kind is tuple and all(type(x) in _FLAT_TYPES for x in member)
+    )
+
+
+def _forget_fset(key: int, ref: "weakref.ref[frozenset]") -> None:
+    entry = _FSET_DIGESTS.get(key)
+    if entry is not None and entry[0] is ref:
+        _FSET_DIGESTS.pop(key, None)
+
+
+def _fset_digest(obj: frozenset) -> Optional[str]:
+    """sha256 of a flat frozenset's sorted member reprs, memoized by
+    identity; None when a member is not flat."""
+    key = id(obj)
+    entry = _FSET_DIGESTS.get(key)
+    if entry is not None and entry[0]() is obj:
+        return entry[1]
+    if not all(map(_is_flat, obj)):
+        return None
+    digest = hashlib.sha256("\n".join(sorted(map(repr, obj))).encode()).hexdigest()
+    _FSET_DIGESTS[key] = (weakref.ref(obj, functools.partial(_forget_fset, key)), digest)
+    return digest
+
+
+def source_digest(root: pathlib.Path) -> str:
+    """sha256 over the ``*.py`` files of :data:`CODE_PACKAGES` under
+    ``root`` (path, length and bytes of each, in sorted path order)."""
+    h = hashlib.sha256()
+    for package in CODE_PACKAGES:
+        for path in sorted((root / package).rglob("*.py")):
+            data = path.read_bytes()
+            h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+            h.update(data)
+    return h.hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def code_digest() -> str:
+    """:func:`source_digest` of this installed ``repro``, computed once."""
+    return source_digest(pathlib.Path(__file__).resolve().parent.parent)
+
+
 def cache_token(obj: Any, _depth: int = 0) -> Any:
     """A canonical JSON-ready token for ``obj`` (injective in practice).
 
@@ -103,6 +183,10 @@ def cache_token(obj: Any, _depth: int = 0) -> Any:
         return ["t", [cache_token(x, _depth + 1) for x in obj]]
     if isinstance(obj, list):
         return ["l", [cache_token(x, _depth + 1) for x in obj]]
+    if type(obj) is frozenset:
+        digest = _fset_digest(obj)
+        if digest is not None:
+            return ["fset", digest]
     if isinstance(obj, (set, frozenset)):
         return ["set", _sorted_by_encoding([cache_token(x, _depth + 1) for x in obj])]
     if isinstance(obj, dict):
@@ -161,7 +245,8 @@ def semantic_config(config: Optional[Any]) -> Dict[str, Any]:
 
 
 def cache_key(kind: str, config: Optional[Any], parts: Mapping[str, Any]) -> str:
-    """sha256 over (key version, kind, semantic config, cell parts).
+    """sha256 over (key version, code digest, kind, semantic config,
+    cell parts).
 
     ``kind`` namespaces the entry ("run", "replicate", "cell", "map")
     so payload schemas can never collide; ``parts`` carries the cell
@@ -169,6 +254,7 @@ def cache_key(kind: str, config: Optional[Any], parts: Mapping[str, Any]) -> str
     """
     payload = {
         "key_version": KEY_VERSION,
+        "code": code_digest(),
         "kind": kind,
         "config": cache_token(semantic_config(config)),
         "parts": cache_token(dict(parts)),

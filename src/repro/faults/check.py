@@ -102,13 +102,16 @@ def trace_fingerprint(trace: ExecutionTrace) -> str:
 
     Two runs with equal fingerprints produced byte-identical round
     records and outputs; the digest hashes the same canonical JSON lines
-    the JSONL exporter writes.
+    the JSONL exporter writes (:func:`~repro.obs.export.encode_round_line`),
+    so its cost grows with the rounds and the *distinct* edge sets, not
+    with rounds × edges.
     """
-    from ..obs.export import _round_line, encode_payload
+    from ..obs.export import encode_payload, encode_round_line
 
     h = hashlib.sha256()
+    edge_memo: dict = {}
     for record in trace:
-        h.update(json.dumps(_round_line(record), sort_keys=True).encode())
+        h.update(encode_round_line(record, edge_memo).encode())
     tail = {
         "termination_round": trace.termination_round,
         "outputs": {str(u): encode_payload(o) for u, o in sorted(trace.outputs.items())},

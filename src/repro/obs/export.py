@@ -43,6 +43,7 @@ from .manifest import RunManifest
 __all__ = [
     "encode_payload",
     "decode_payload",
+    "encode_round_line",
     "write_trace_jsonl",
     "write_ledger_jsonl",
     "read_trace_jsonl",
@@ -106,16 +107,47 @@ def decode_payload(value: Any) -> Any:
 
 # ----------------------------------------------------------------------
 # trace writer / reader
-def _round_line(record: RoundRecord) -> dict:
-    return {
-        "type": "round",
-        "round": record.round,
-        "edges": sorted([u, v] for u, v in record.edges),
-        "sends": {str(uid): encode_payload(p) for uid, p in sorted(record.sends.items())},
+def _round_fields(record: RoundRecord) -> Tuple[dict, dict]:
+    """A round line's fields without ``edges``: those whose keys sort
+    before ``"edges"`` and those whose keys sort after it."""
+    before = {
         "bits": {str(uid): b for uid, b in sorted(record.bits.items())},
-        "receivers": sorted(record.receivers),
         "delivered": {str(uid): c for uid, c in sorted(record.delivered.items())},
     }
+    after = {
+        "receivers": sorted(record.receivers),
+        "round": record.round,
+        "sends": {str(uid): encode_payload(p) for uid, p in sorted(record.sends.items())},
+        "type": "round",
+    }
+    return before, after
+
+
+def _round_line(record: RoundRecord) -> dict:
+    before, after = _round_fields(record)
+    return {**before, "edges": sorted([u, v] for u, v in record.edges), **after}
+
+
+def encode_round_line(record: RoundRecord, edge_memo: Dict[int, Tuple[Any, str]]) -> str:
+    """``json.dumps(_round_line(record), sort_keys=True)``, byte for byte,
+    with the edge list encoded once per distinct edge-set object.
+
+    Engines intern topologies, so one frozenset usually stands for many
+    rounds.  ``edge_memo`` belongs to one pass over one trace and maps
+    ``id(record.edges)`` to ``(edges, edge JSON)``; holding the set keeps
+    its id from being reused while the memo lives.  The line is the
+    sorted-key join of the fields before ``"edges"``, the edge JSON and
+    the fields after it.
+    """
+    edges = record.edges
+    entry = edge_memo.get(id(edges))
+    if entry is None or entry[0] is not edges:
+        entry = (edges, json.dumps(sorted([u, v] for u, v in edges)))
+        edge_memo[id(edges)] = entry
+    before, after = _round_fields(record)
+    head = json.dumps(before, sort_keys=True)
+    tail = json.dumps(after, sort_keys=True)
+    return f'{head[:-1]}, "edges": {entry[1]}, {tail[1:]}'
 
 
 def _record_from_line(line: dict) -> RoundRecord:
@@ -159,8 +191,9 @@ def write_trace_jsonl(
         summary["run_metrics"] = run_metrics
     with path.open("w") as fh:
         fh.write(json.dumps(head, sort_keys=True) + "\n")
+        edge_memo: Dict[int, Tuple[Any, str]] = {}
         for record in trace:
-            fh.write(json.dumps(_round_line(record), sort_keys=True) + "\n")
+            fh.write(encode_round_line(record, edge_memo) + "\n")
         for entry in ledger or ():
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
         fh.write(json.dumps(summary, sort_keys=True) + "\n")

@@ -183,11 +183,13 @@ def write_checkpoint(directory: pathlib.Path, payload: Dict[str, Any]) -> pathli
 
     Readers therefore always see either the previous checkpoint or the
     new one, never a torn intermediate — the same crash contract as the
-    event stream's line-at-a-time appends.
+    event stream's line-at-a-time appends.  Each writer (process and
+    thread) has its own temp file, so a session's resource-sampler tick
+    and its job thread can checkpoint at the same time.
     """
     directory = pathlib.Path(directory)
     path = directory / CHECKPOINT_FILENAME
-    tmp = directory / (CHECKPOINT_FILENAME + ".tmp")
+    tmp = directory / f"{CHECKPOINT_FILENAME}.{os.getpid()}-{threading.get_ident()}.tmp"
     data = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
     with tmp.open("w", encoding="utf-8") as fh:
         fh.write(data)

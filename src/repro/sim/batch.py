@@ -731,10 +731,12 @@ class BatchEngine:
 
             instrumentation = instrument_engine(self)
         self.instrumentation = instrumentation
-        #: (stage name, bound stage method) in ROUND_STAGES order — the
-        #: same staged round protocol as the reference engine
+        #: (stage name, unbound stage function) in ROUND_STAGES order —
+        #: the same staged round protocol as the reference engine.
+        #: Unbound, so the engine holds no reference cycle to itself and
+        #: a finished run is freed without the cyclic GC.
         self._stages = tuple(
-            (name, getattr(self, f"_stage_{name}")) for name in ROUND_STAGES
+            (name, getattr(type(self), f"_stage_{name}")) for name in ROUND_STAGES
         )
 
     # ------------------------------------------------------------------
@@ -977,13 +979,13 @@ class BatchEngine:
         instr = self.instrumentation
         if instr is None:
             for _name, method in self._stages:
-                method(state)
+                method(self, state)
             return state.record
         instr.run_started()
         clock = instr.clock
         t_phase = clock()
         for name, method in self._stages:
-            method(state)
+            method(self, state)
             now = clock()
             instr.observe_phase(name, now - t_phase)
             t_phase = now
@@ -1007,10 +1009,10 @@ class BatchEngine:
         for name, method in self._stages:
             if instr is not None:
                 t0 = clock()
-                method(state)
+                method(self, state)
                 instr.observe_phase(name, clock() - t0)
             else:
-                method(state)
+                method(self, state)
             yield StageEvent(
                 stage=name,
                 round=state.round,

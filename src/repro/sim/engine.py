@@ -234,9 +234,13 @@ class SynchronousEngine:
 
             instrumentation = instrument_engine(self)
         self.instrumentation = instrumentation
-        #: (stage name, bound stage method) in ROUND_STAGES order —
-        #: resolved once so the per-round driver loop is attribute-free
-        self._stages = self._stage_methods()
+        #: (stage name, unbound stage function) in ROUND_STAGES order —
+        #: resolved once so the per-round driver loop is attribute-free.
+        #: Unbound, so the engine holds no reference cycle to itself and
+        #: a finished run is freed without the cyclic GC.
+        self._stages = tuple(
+            (name, getattr(type(self), f"_stage_{name}")) for name in ROUND_STAGES
+        )
 
     # -- the staged round protocol -------------------------------------
     #
@@ -351,9 +355,6 @@ class SynchronousEngine:
                 self.trace.termination_round = state.round
                 self.trace.outputs = outputs
 
-    def _stage_methods(self):
-        return tuple((name, getattr(self, f"_stage_{name}")) for name in ROUND_STAGES)
-
     # ------------------------------------------------------------------
     def step(self) -> RoundRecord:
         """Execute one round and return its record."""
@@ -362,13 +363,13 @@ class SynchronousEngine:
         instr = self.instrumentation
         if instr is None:
             for _name, method in self._stages:
-                method(state)
+                method(self, state)
             return state.record
         instr.run_started()
         clock = instr.clock
         t_phase = clock()
         for name, method in self._stages:
-            method(state)
+            method(self, state)
             now = clock()
             instr.observe_phase(name, now - t_phase)
             t_phase = now
@@ -397,10 +398,10 @@ class SynchronousEngine:
         for name, method in self._stages:
             if instr is not None:
                 t0 = clock()
-                method(state)
+                method(self, state)
                 instr.observe_phase(name, clock() - t0)
             else:
-                method(state)
+                method(self, state)
             yield StageEvent(
                 stage=name,
                 round=state.round,

@@ -8,21 +8,39 @@ round-trips and dict insertion order do not move the key), sensitivity
 (every semantic field flip moves it), and blindness (every execution
 knob — backend, workers, instrumentation, the cache settings
 themselves — leaves it alone, which is what lets reference and batch
-runs share entries).
+runs share entries).  Flat frozensets (topologies) get a one-digest
+``fset`` token memoized by object identity, and every key carries the
+digest of the simulator's source.
 """
 
 from __future__ import annotations
 
+import gc
+import hashlib
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import weakref
+
+import numpy as np
 import pytest
+
+import repro
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import key as key_module
 from repro.cache.key import (
+    CODE_PACKAGES,
     SEMANTIC_CONFIG_FIELDS,
     UncacheableError,
     cache_key,
     cache_token,
+    code_digest,
     semantic_config,
+    source_digest,
 )
 from repro.sim.config import RunConfig
 
@@ -147,3 +165,117 @@ class TestCacheToken:
 
         with pytest.raises(UncacheableError):
             cache_token(Opaque())
+
+
+def _repr_digest(members) -> str:
+    return hashlib.sha256("\n".join(sorted(map(repr, members))).encode()).hexdigest()
+
+
+class TestFlatFrozensetToken:
+    def test_flat_frozenset_token_is_the_digest_of_its_member_reprs(self):
+        edges = frozenset({(0, 1), (1, 2), (2, 3)})
+        assert cache_token(edges) == ["fset", _repr_digest(edges)]
+        assert cache_token(frozenset()) == ["fset", _repr_digest(())]
+
+    def test_equal_sets_of_different_member_types_get_distinct_tokens(self):
+        # all three sets are equal, and all three are alive together
+        one, true, one_float = frozenset({1}), frozenset({True}), frozenset({1.0})
+        assert one == true == one_float
+        tokens = [cache_token(one), cache_token(true), cache_token(one_float)]
+        assert tokens[0][0] == tokens[1][0] == "fset"
+        assert tokens[2][0] == "set"  # float members: structural path
+        assert len({repr(t) for t in tokens}) == 3
+        # the identity memo answers each again with its own token
+        assert [cache_token(one), cache_token(true), cache_token(one_float)] == tokens
+
+    def test_str_and_int_members_stay_apart(self):
+        assert cache_token(frozenset({"1"})) != cache_token(frozenset({1}))
+        assert cache_token(frozenset({("a", 1)})) != cache_token(frozenset({("a", "1")}))
+
+    def test_memo_entry_is_dropped_when_its_set_dies(self):
+        edges = frozenset({(0, 1), (1, 2)})
+        cache_token(edges)
+        dead_id = id(edges)
+        assert dead_id in key_module._FSET_DIGESTS
+        del edges
+        gc.collect()
+        assert dead_id not in key_module._FSET_DIGESTS
+
+    def test_memo_entry_is_not_served_after_its_set_dies_and_the_id_is_reused(
+        self, monkeypatch
+    ):
+        gone = frozenset({(7, 8)})
+        dead = weakref.ref(gone)
+        del gone
+        assert dead() is None
+        reused = frozenset({(0, 1)})
+        # an entry under this id whose set died (as if the id was reused
+        # before its callback ran) must be recomputed, not served
+        monkeypatch.setitem(key_module._FSET_DIGESTS, id(reused), (dead, "0" * 64))
+        assert cache_token(reused) == ["fset", _repr_digest(reused)]
+
+    def test_natural_id_reuse_never_serves_a_dead_sets_digest(self):
+        first = frozenset({(0, 1)})
+        stale = cache_token(first)
+        dead_id = id(first)
+        del first
+        for i in range(2, 200):
+            other = frozenset({(0, i)})
+            token = cache_token(other)
+            assert token == ["fset", _repr_digest(other)] != stale
+            if id(other) == dead_id:
+                break
+
+    def test_mutable_sets_are_never_memoized(self):
+        members = {1, 2}
+        before = dict(key_module._FSET_DIGESTS)
+        token = cache_token(members)
+        assert token[0] == "set"
+        assert key_module._FSET_DIGESTS == before
+        members.add(3)
+        assert cache_token(members) != token
+
+    def test_numpy_int_members_fall_back_to_the_structural_path(self):
+        for members in (frozenset({np.int64(1)}), frozenset({(np.int64(1), 2)})):
+            # structural tokenization refuses numpy scalars, as it did
+            # before the fset token existed; repr would have let
+            # np.int64(1) collide with 1 under numpy 1.x
+            with pytest.raises(UncacheableError):
+                cache_token(members)
+            assert id(members) not in key_module._FSET_DIGESTS
+
+    def test_frozenset_subclasses_take_the_structural_path(self):
+        class Tagged(frozenset):
+            pass
+
+        assert cache_token(Tagged({1, 2}))[0] == "set"
+
+
+class TestCodeIdentity:
+    def test_every_key_carries_the_code_digest(self, monkeypatch):
+        base = cache_key("run", None, {"p": 1})
+        monkeypatch.setattr(key_module, "code_digest", lambda: "edited")
+        assert cache_key("run", None, {"p": 1}) != base
+
+    def test_editing_a_protocol_changes_the_source_digest(self, tmp_path):
+        src = pathlib.Path(repro.__file__).parent
+        for package in CODE_PACKAGES:
+            shutil.copytree(src / package, tmp_path / package)
+        assert source_digest(tmp_path) == code_digest()
+        flooding = tmp_path / "protocols" / "flooding.py"
+        flooding.write_text(flooding.read_text() + "\n# edited\n")
+        assert source_digest(tmp_path) != code_digest()
+
+    def test_code_digest_is_not_computed_at_import(self):
+        probe = (
+            "import repro, repro.cache, repro.sim;"
+            "from repro.cache.key import code_digest;"
+            "print(code_digest.cache_info().currsize)"
+        )
+        src_root = str(pathlib.Path(repro.__file__).parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True, text=True, timeout=60, check=True,
+            env={**os.environ, "PYTHONPATH": src_root},
+        )
+        assert out.stdout.strip() == "0"

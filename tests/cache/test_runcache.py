@@ -11,7 +11,16 @@ differential fuzzer, so serving one the other's entry is sound.
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+import repro
 from repro.analysis.sweep import cartesian_sweep
+from repro.cache import key as key_module
 from repro.cache.runcache import run_fingerprint, verify_entry
 from repro.cache.store import ResultCache, cache_counters
 from repro.network.adversaries import StaticAdversary
@@ -97,6 +106,57 @@ class TestRunProtocolCaching:
                       cache_dir=str(tmp_path / "cache")),
         )
         assert not other.cached
+
+
+class TestCodeIdentity:
+    """A result computed by other code is never served."""
+
+    def test_changed_code_digest_misses_where_it_used_to_hit(self, tmp_path, monkeypatch):
+        cold = run_protocol(_make_nodes, _make_adv, _cfg(tmp_path))
+        assert run_protocol(_make_nodes, _make_adv, _cfg(tmp_path)).cached
+        monkeypatch.setattr(key_module, "code_digest", lambda: "0" * 64)
+        after = run_protocol(_make_nodes, _make_adv, _cfg(tmp_path, cache="ro"))
+        assert not after.cached
+        assert run_fingerprint(after) == run_fingerprint(cold)
+
+    def test_editing_a_protocol_misses_instead_of_serving_stale_bits(self, tmp_path):
+        tree = tmp_path / "src"
+        shutil.copytree(
+            pathlib.Path(repro.__file__).parent,
+            tree / "repro",
+            ignore=shutil.ignore_patterns("__pycache__"),
+        )
+        script = (
+            "import json, sys\n"
+            "from repro.network.adversaries import StaticAdversary\n"
+            "from repro.network.generators import line_edges\n"
+            "from repro.protocols.flooding import GossipMaxNode\n"
+            "from repro.sim import RunConfig, run_protocol\n"
+            "from repro.sim.factories import BoundNode, Constant, NodeSet\n"
+            "ids = list(range(6))\n"
+            "run = run_protocol(NodeSet(ids, BoundNode(GossipMaxNode)),\n"
+            "    Constant(StaticAdversary(ids, line_edges(ids))),\n"
+            "    RunConfig(seed=3, max_rounds=12, cache=sys.argv[1], cache_dir=sys.argv[2]))\n"
+            "print(json.dumps({'cached': run.cached, 'bits': run.total_bits}))\n"
+        )
+
+        def run(mode):
+            out = subprocess.run(
+                [sys.executable, "-c", script, mode, str(tmp_path / "cache")],
+                capture_output=True, text=True, timeout=120, check=True,
+                env={**os.environ, "PYTHONPATH": str(tree)},
+            )
+            return json.loads(out.stdout)
+
+        stored = run("rw")
+        assert run("ro") == {"cached": True, "bits": stored["bits"]}
+        flooding = tree / "repro" / "protocols" / "flooding.py"
+        source = flooding.read_text()
+        assert 'Send(("max", self.best))' in source
+        flooding.write_text(source.replace('Send(("max", self.best))', 'Send(("max", self.best, 0))'))
+        edited = run("ro")
+        assert not edited["cached"]
+        assert edited["bits"] != stored["bits"]
 
 
 class TestReplicateCaching:

@@ -3,11 +3,15 @@
 The satellite requirements made explicit: ``total_bits()`` equals both
 the sum over ``bits_by_node()`` and the sum of per-record
 ``total_bits``, and ``edge_schedule()`` survives a JSONL round trip
-losslessly — property-based over randomized traces and payloads.
+losslessly — property-based over randomized traces and payloads.  The
+memoized round-line encoder writes exactly the bytes of
+``json.dumps(_round_line(r), sort_keys=True)``, so fingerprints and
+exported files do not change with it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 import tempfile
@@ -16,9 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro._util import bit_size
+from repro.faults.check import trace_fingerprint
 from repro.obs.export import (
+    _round_line,
     decode_payload,
     encode_payload,
+    encode_round_line,
     read_trace_jsonl,
     write_trace_jsonl,
 )
@@ -84,7 +91,90 @@ def traces(draw):
     return trace
 
 
+#: payloads whose encoding contains the round line's own key names
+key_like = st.sampled_from(["edges", "receivers", '"edges": ', ', "receivers": [1]'])
+
+
+@st.composite
+def interned_traces(draw):
+    """Traces whose rounds share edge-set objects the way engines intern
+    topologies: the same object repeated, equal copies (aliases under a
+    different id), and empty sets; payloads mention the line's keys."""
+    n = draw(st.integers(2, 6))
+    ids = list(range(n))
+    possible = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+    pool = [frozenset()] + [
+        frozenset(draw(st.lists(st.sampled_from(possible), max_size=8)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    trace = ExecutionTrace(num_nodes=n)
+    for r in range(1, draw(st.integers(0, 8)) + 1):
+        edges = draw(st.sampled_from(pool))
+        if draw(st.booleans()):
+            edges = frozenset(list(edges))  # equal content, new object
+        senders = draw(st.lists(st.sampled_from(ids), max_size=n, unique=True))
+        sends = {uid: draw(st.one_of(payloads, key_like)) for uid in senders}
+        receivers = frozenset(uid for uid in ids if uid not in sends)
+        trace.append(
+            RoundRecord(
+                round=r,
+                edges=edges,
+                sends=sends,
+                bits={uid: bit_size(p) for uid, p in sends.items()},
+                receivers=receivers,
+                delivered={uid: draw(st.integers(0, n)) for uid in receivers},
+            )
+        )
+    trace.outputs = {uid: draw(st.one_of(st.none(), key_like)) for uid in ids}
+    return trace
+
+
 # ----------------------------------------------------------------------
+class TestRoundLineEncoder:
+    @given(interned_traces())
+    @settings(max_examples=80)
+    def test_encoder_matches_json_dumps_of_round_line(self, trace):
+        memo = {}
+        for record in trace:
+            assert encode_round_line(record, memo) == json.dumps(
+                _round_line(record), sort_keys=True
+            )
+        assert len(memo) <= len({id(r.edges) for r in trace})
+
+    @given(interned_traces())
+    @settings(max_examples=40)
+    def test_fingerprint_hashes_the_plain_json_lines(self, trace):
+        h = hashlib.sha256()
+        for record in trace:
+            h.update(json.dumps(_round_line(record), sort_keys=True).encode())
+        tail = {
+            "termination_round": trace.termination_round,
+            "outputs": {
+                str(u): encode_payload(o) for u, o in sorted(trace.outputs.items())
+            },
+        }
+        h.update(json.dumps(tail, sort_keys=True).encode())
+        assert trace_fingerprint(trace) == h.hexdigest()
+
+    @given(interned_traces())
+    @settings(max_examples=30)
+    def test_exported_round_lines_are_unchanged(self, trace):
+        with tempfile.TemporaryDirectory() as d:
+            path = pathlib.Path(d) / "run.jsonl"
+            write_trace_jsonl(trace, path)
+            lines = path.read_text().splitlines()
+        want = [json.dumps(_round_line(r), sort_keys=True) for r in trace]
+        assert lines[1 : 1 + len(want)] == want
+
+    def test_a_memo_entry_is_tied_to_its_set_not_its_id(self):
+        """A stale entry whose id now names another set is recomputed."""
+        a = frozenset({(0, 1)})
+        b = frozenset({(1, 2)})
+        record = RoundRecord(1, b, {}, {}, frozenset(), {})
+        memo = {id(b): (a, "[[0, 1]]")}
+        assert '"edges": [[1, 2]]' in encode_round_line(record, memo)
+
+
 class TestPayloadCodec:
     @given(payloads)
     @settings(max_examples=120)

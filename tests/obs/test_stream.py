@@ -20,6 +20,8 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -156,6 +158,57 @@ class TestEventStream:
         # no stray tmp file left behind
         leftovers = [p for p in tmp_path.iterdir() if p.name != CHECKPOINT_FILENAME]
         assert leftovers == []
+
+    def test_concurrent_checkpoint_writers_leave_valid_json(self, tmp_path):
+        """A session's sampler tick and its job thread checkpoint at the
+        same time; neither may lose the other's temp file."""
+        errors = []
+        payloads = [{"writer": w, "pad": "x" * 4096} for w in range(4)]
+
+        def writer(payload):
+            try:
+                for _ in range(60):
+                    write_checkpoint(tmp_path, payload)
+            except OSError as exc:  # the old shared temp name raised here
+                errors.append(exc)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert load_checkpoint(tmp_path) in payloads
+        assert [p.name for p in tmp_path.iterdir()] == [CHECKPOINT_FILENAME]
+
+    def test_session_checkpoints_from_two_threads(self, tmp_path):
+        d = tmp_path / "s"
+        errors = []
+        with observe(trace_dir=d, stream=True, resource_interval=0, label="s") as s:
+            s.checkpoint_interval = 0.0
+
+            def tick():
+                try:
+                    for _ in range(40):
+                        s._maybe_checkpoint()
+                except OSError as exc:
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=tick) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert errors == []
+            assert load_checkpoint(d)["label"] == "s"
+        assert not list(d.glob("*.tmp"))
 
     def test_corrupt_checkpoint_loads_none(self, tmp_path):
         (tmp_path / CHECKPOINT_FILENAME).write_text("{nope")

@@ -11,6 +11,9 @@ engines.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import (
@@ -280,3 +283,47 @@ class TestErrorPathParity:
                 seen.append(event.stage)
         # actions and the adversary decision completed; validation raised
         assert seen == ["actions", "adversary"]
+
+
+@pytest.fixture
+def gc_disabled():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestEngineLifetime:
+    """A finished engine is freed by reference counting alone.
+
+    A table of bound stage methods would make every engine a reference
+    cycle, so its nodes, coins and trace would wait for the cyclic GC.
+    """
+
+    @pytest.mark.parametrize("engine_cls", [SynchronousEngine, BatchEngine])
+    def test_dropping_the_result_frees_the_engine(self, engine_cls, gc_disabled):
+        engine = engine_cls(_nodes(), _line_adv(), CoinSource(5))
+        alive = weakref.ref(engine)
+        trace = engine.run(10)
+        assert trace.termination_round is not None
+        del engine, trace
+        assert alive() is None
+
+    @pytest.mark.parametrize("backend", ["reference", "batch"])
+    def test_replicate_leaves_no_cyclic_garbage(self, backend, gc_disabled):
+        from repro.protocols.flooding import GossipMaxNode
+        from repro.sim import RunConfig, replicate
+        from repro.sim.factories import BoundNode, Constant, NodeSet
+
+        ids = list(range(12))
+        summary = replicate(
+            NodeSet(ids, BoundNode(GossipMaxNode)),
+            Constant(StaticAdversary(ids, line_edges(ids))),
+            [1, 2],
+            RunConfig(backend=backend, max_rounds=30, workers=0),
+        )
+        assert len(summary.runs) == 2
+        del summary
+        assert gc.collect() == 0
