@@ -105,8 +105,6 @@ class RunManifest:
     #: under — provenance for the perf model, None on reference runs
     representation: Optional[str] = None
     dense_node_limit: Optional[int] = None
-    #: whether the run's coin folds rode a lockstep replica coin block
-    vectorized_replicas: bool = False
 
     @classmethod
     def from_engine(cls, engine: Any) -> "RunManifest":
@@ -126,7 +124,6 @@ class RunManifest:
                 if backend == "batch"
                 else None
             ),
-            vectorized_replicas=getattr(engine, "vectorized_replicas", False),
         )
 
     def as_dict(self) -> dict:

@@ -19,10 +19,8 @@ notification is a no-op costing one list check.  Pool workers never
 report — the parent consumes results in input order and reports on
 their behalf — so progress output is single-writer by construction.
 
-Events carry the degradations the executor layer already records:
-``batch-fallback`` (a batch-backend request that dropped to the
-reference engine, with the logged reason) and ``degraded-retry`` (a
-worker crash/hang absorbed by a retry, PR 4's degradation trail).
+Events carry the degradation the executor layer already records:
+``degraded-retry`` (a worker crash/hang absorbed by a retry).
 """
 
 from __future__ import annotations
@@ -62,7 +60,7 @@ class ProgressReporter:
         """One work item finished (``status``: ``ok``/``error``)."""
 
     def event(self, kind: str, detail: str) -> None:
-        """An out-of-band occurrence (batch-fallback, degraded-retry)."""
+        """An out-of-band occurrence (e.g. degraded-retry)."""
 
     def finish(self) -> None:
         """The scope that most recently ``begin``-ed is done."""

@@ -126,10 +126,6 @@ class TailRenderer:
             f" attempt {tags.get('attempt', '?')}"
         ]
 
-    def _on_batch_fallback(self, event: dict) -> List[str]:
-        tags = (event.get("span") or {}).get("tags", {})
-        return [f"fallback   batch -> reference: {tags.get('reason', '?')}"]
-
     def _on_progress(self, event: dict) -> List[str]:
         depth = int(event.get("depth", 1))
         phase = event.get("phase")

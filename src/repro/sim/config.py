@@ -39,12 +39,10 @@ __all__ = [
     "RunConfig",
     "BACKENDS",
     "BACKEND_ENV",
-    "VECTOR_REPLICAS_ENV",
     "CACHE_MODES",
     "CACHE_ENV",
     "coerce_config",
     "resolve_backend",
-    "resolve_vector_replicas",
     "resolve_cache",
 ]
 
@@ -54,17 +52,11 @@ BACKENDS: Tuple[str, ...] = ("reference", "batch")
 #: environment variable supplying the default backend (cf. REPRO_WORKERS)
 BACKEND_ENV = "REPRO_BACKEND"
 
-#: environment variable supplying the replica-axis vectorization default
-VECTOR_REPLICAS_ENV = "REPRO_VECTOR_REPLICAS"
-
 #: recognized result-cache modes: read-write, read-only, disabled
 CACHE_MODES: Tuple[str, ...] = ("rw", "ro", "off")
 
 #: environment variable supplying the default cache mode (cf. REPRO_BACKEND)
 CACHE_ENV = "REPRO_CACHE"
-
-_TRUTHY = frozenset(("1", "true", "yes", "on"))
-_FALSY = frozenset(("", "0", "false", "no", "off"))
 
 
 def resolve_backend(backend: Optional[str]) -> str:
@@ -81,28 +73,6 @@ def resolve_backend(backend: Optional[str]) -> str:
             f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}"
         )
     return backend
-
-
-def resolve_vector_replicas(vector_replicas: Optional[bool]) -> bool:
-    """Resolve a replica-axis vectorization request against the environment.
-
-    Same precedence ladder as :func:`resolve_backend`: an explicit
-    ``True``/``False`` wins, ``None`` defers to
-    ``$REPRO_VECTOR_REPLICAS`` (``1/true/yes/on`` enable,
-    ``0/false/no/off`` or unset disable; anything else is a
-    :class:`~repro.errors.ConfigurationError`).
-    """
-    if vector_replicas is not None:
-        return bool(vector_replicas)
-    raw = os.environ.get(VECTOR_REPLICAS_ENV, "").strip().lower()
-    if raw in _TRUTHY:
-        return True
-    if raw in _FALSY:
-        return False
-    raise ConfigurationError(
-        f"cannot parse {VECTOR_REPLICAS_ENV}={raw!r}: expected one of "
-        f"{', '.join(sorted(_TRUTHY))} / {', '.join(sorted(x for x in _FALSY if x))}"
-    )
 
 
 def resolve_cache(cache: Optional[str]) -> str:
@@ -150,17 +120,7 @@ class RunConfig:
     backend:
         ``"reference"`` or ``"batch"`` (``None`` defers to
         ``$REPRO_BACKEND``, then ``reference``).  The batch backend is
-        bit-identical on oblivious and adaptive adversaries alike, and
-        falls back to the reference engine, with a logged reason, only
-        for adversaries that declare ``dynamic_nodes=True``.
-    vector_replicas:
-        Replica-axis vectorization for ``replicate`` under the batch
-        backend: the K replicas of a cell advance their coin folds as
-        one ``(K seeds x N nodes)`` uint64 state and share one encoding
-        memo (``None`` defers to ``$REPRO_VECTOR_REPLICAS``, then off).
-        Per-replica results stay bit-identical; ignored on the
-        reference backend and on instrumented runs (which execute
-        sequentially, not in lockstep).
+        bit-identical on oblivious and adaptive adversaries alike.
     dense_node_limit:
         Node-count cutoff above which the batch backend switches from
         dense N x N adjacency matrices to sparse rows (packed bitsets
@@ -190,7 +150,6 @@ class RunConfig:
     registry: Optional[Any] = None
     workers: Optional[int] = None
     backend: Optional[str] = None
-    vector_replicas: Optional[bool] = None
     dense_node_limit: Optional[int] = None
     cache: Optional[str] = None
     cache_dir: Optional[str] = None
@@ -215,10 +174,6 @@ class RunConfig:
     def resolved_backend(self) -> str:
         """The backend this config actually selects (env-resolved)."""
         return resolve_backend(self.backend)
-
-    def resolved_vector_replicas(self) -> bool:
-        """Whether this config selects replica-axis vectorization."""
-        return resolve_vector_replicas(self.vector_replicas)
 
     def resolved_cache(self) -> str:
         """The result-cache mode this config actually selects."""

@@ -15,10 +15,8 @@ The config selects the execution backend: ``"reference"`` is the
 readable one-loop-per-round :class:`~repro.sim.engine.SynchronousEngine`;
 ``"batch"`` is the vectorized :class:`~repro.sim.batch.BatchEngine`,
 bit-identical on oblivious *and* adaptive adversaries (the latter via an
-incremental schedule tape); only adversaries that declare
-``dynamic_nodes=True`` fall back to the reference engine, with a logged
-reason.  The legacy call styles — individual seed/max_rounds/...
-arguments — were removed; passing them raises a
+incremental schedule tape).  The legacy call styles — individual
+seed/max_rounds/... arguments — were removed; passing them raises a
 :class:`~repro.errors.ConfigurationError` naming the ``RunConfig``
 replacement.
 
@@ -40,7 +38,8 @@ its seed — so ``RunConfig(workers=4)`` fans the seeds out over a process
 pool (see :mod:`repro.sim.parallel`) and returns a summary equal, run
 for run, to the sequential one.  On the batch backend the seeds are
 split into contiguous chunks (one per worker) so each worker amortizes
-one shared schedule tape across its chunk.  Factories that cannot cross
+one shared schedule tape across its chunk; inline, a cell's seeds run
+one after another on both backends.  Factories that cannot cross
 the process boundary (closures, lambdas) fall back to inline execution
 with a warning rather than failing.
 """
@@ -53,7 +52,7 @@ from statistics import mean, median
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .._util import require
-from .batch import batch_fallback_reason, build_engine, run_batch_replicas
+from .batch import build_engine, run_batch_replicas
 from .coins import CoinSource
 from .config import RunConfig, coerce_config
 from .node import ProtocolNode
@@ -88,8 +87,7 @@ class ProtocolRun:
     #: per-run instrumentation summary (wall_seconds, phase_seconds,
     #: counters) when the run was instrumented; {} otherwise
     metrics: Dict[str, Any] = field(default_factory=dict)
-    #: which engine produced this run ("reference" or "batch"); batch
-    #: requests that fell back to the reference engine record "reference"
+    #: which engine produced this run ("reference" or "batch")
     backend: str = "reference"
     #: batch runs only: the adjacency representation the schedule tape
     #: settled on ("dense"/"bitset"/"csr"/"scan"); None on reference runs
@@ -103,6 +101,22 @@ class ProtocolRun:
     #: identity (see :func:`repro.cache.runcache.run_fingerprint`)
     fingerprint: Optional[str] = None
 
+    @classmethod
+    def from_engine(cls, engine: Any) -> "ProtocolRun":
+        """Wrap an engine whose ``run()`` has returned."""
+        trace = engine.trace
+        terminated = trace.termination_round is not None
+        inst = engine.instrumentation
+        return cls(
+            trace=trace,
+            terminated=terminated,
+            rounds=trace.termination_round if terminated else trace.rounds,
+            outputs=trace.outputs,
+            metrics=inst.run_metrics() if hasattr(inst, "run_metrics") else {},
+            backend=engine.backend,
+            representation=getattr(engine, "representation", None),
+        )
+
     @property
     def total_bits(self) -> int:
         return self.trace.total_bits()
@@ -110,24 +124,6 @@ class ProtocolRun:
     @property
     def wall_seconds(self) -> Optional[float]:
         return self.metrics.get("wall_seconds")
-
-
-def _resolve_batch(make_adversary: AdversaryFactory, backend: str) -> str:
-    """Downgrade a batch request to reference when the cell can't tape.
-
-    Probes one adversary instance; the fallback reason is logged on the
-    ``repro.sim.batch`` logger so a sweep that silently ran on the
-    reference engine is explainable after the fact.
-    """
-    if backend != "batch":
-        return backend
-    reason = batch_fallback_reason(make_adversary())
-    if reason is None:
-        return "batch"
-    from .batch import _log_fallback
-
-    _log_fallback(reason)
-    return "reference"
 
 
 def run_protocol(
@@ -154,8 +150,7 @@ def run_protocol(
     :class:`~repro.obs.instrumentation.Instrumentation` (feeding
     ``config.registry`` if given) and stores its summary on the returned
     run.  ``RunConfig(backend="batch")`` runs the vectorized backend
-    (reference only for ``dynamic_nodes`` adversaries — the returned
-    run's ``backend`` field records which engine actually ran).
+    (the returned run's ``backend`` field records which engine ran).
     """
     cfg = coerce_config(
         "run_protocol", _RUN_PROTOCOL_LEGACY, config, legacy_args, legacy_kwargs
@@ -186,22 +181,8 @@ def run_protocol(
         backend=cfg.resolved_backend(),
         dense_node_limit=cfg.dense_node_limit,
     )
-    trace = engine.run(cfg.max_rounds)
-    terminated = trace.termination_round is not None
-    rounds = trace.termination_round if terminated else trace.rounds
-    metrics: Dict[str, Any] = {}
-    inst = engine.instrumentation
-    if inst is not None and hasattr(inst, "run_metrics"):
-        metrics = inst.run_metrics()
-    run = ProtocolRun(
-        trace=trace,
-        terminated=terminated,
-        rounds=rounds,
-        outputs=trace.outputs,
-        metrics=metrics,
-        backend=engine.backend,
-        representation=getattr(engine, "representation", None),
-    )
+    engine.run(cfg.max_rounds)
+    run = ProtocolRun.from_engine(engine)
     if cache_key is not None and cache_mode == "rw":
         from ..cache.runcache import store_run
 
@@ -291,8 +272,8 @@ def _replicate_task(
             check_connected=check_connected,
             instrument=instrument,
             registry=registry,
-            # the parent already resolved (or fell back) to reference;
-            # never let a worker re-resolve $REPRO_BACKEND differently
+            # the parent already resolved the backend; never let a
+            # worker re-resolve $REPRO_BACKEND differently
             backend="reference",
             # replicate caches the whole replication as one entry; the
             # per-seed runs must not also consult $REPRO_CACHE
@@ -311,16 +292,12 @@ def _replicate_batch_task(
     check_connected: bool,
     instrument: bool,
     dense_node_limit: Optional[int],
-    vector_replicas: bool,
 ) -> Tuple[List[ProtocolRun], Optional[Any]]:
     """One contiguous seed chunk on the batch backend, inside a worker.
 
     The chunk shares a single schedule tape (that is what the chunking
-    buys) — and, with ``vector_replicas``, one replica coin block and
-    encoding memo; the worker's registry rides back for in-order merging
-    exactly like :func:`_replicate_task`.  The parent pre-resolved
-    ``vector_replicas``/``dense_node_limit``, so workers never re-read
-    the environment.
+    buys); the worker's registry rides back for in-order merging
+    exactly like :func:`_replicate_task`.
     """
     registry = None
     if instrument:
@@ -337,7 +314,6 @@ def _replicate_batch_task(
         instrument=instrument,
         registry=registry,
         dense_node_limit=dense_node_limit,
-        vector_replicas=vector_replicas,
     )
     return runs, registry
 
@@ -393,16 +369,10 @@ def replicate(
     ``backend="batch"`` replays every oblivious seed against one shared
     schedule tape per worker, and gives each adaptive seed its own fresh
     adversary and incremental tape (see
-    :func:`repro.sim.batch.run_batch_replicas`); ``dynamic_nodes``
-    adversaries fall back to the reference engine with a reason logged
-    once per cell, identical results either way.
-    ``vector_replicas=True`` (or ``$REPRO_VECTOR_REPLICAS``)
-    additionally advances each lockstep cohort's coin folds as one
-    (seeds x nodes) uint64 block and shares one payload-encoding memo —
-    bit-identical per replica, batch backend only.
+    :func:`repro.sim.batch.run_batch_replicas`), identical results
+    either way.
     """
     from ..obs.spans import span
-    from .batch import fallback_log_scope
     from .parallel import ensure_picklable, resolve_workers
 
     cfg = coerce_config(
@@ -418,30 +388,27 @@ def replicate(
         )
         if served is not None:
             return served
-    with fallback_log_scope():
-        backend = _resolve_batch(make_adversary, cfg.resolved_backend())
-        vector = backend == "batch" and cfg.resolved_vector_replicas()
-        n_workers = resolve_workers(cfg.workers)
-        if n_workers > 0:
-            unpicklable = ensure_picklable(
-                make_nodes=make_nodes, make_adversary=make_adversary
+    backend = cfg.resolved_backend()
+    n_workers = resolve_workers(cfg.workers)
+    if n_workers > 0:
+        unpicklable = ensure_picklable(
+            make_nodes=make_nodes, make_adversary=make_adversary
+        )
+        if unpicklable is not None:
+            warnings.warn(
+                f"replicate: {unpicklable} cannot be pickled for "
+                f"process-pool execution (closure or lambda?); running "
+                f"seeds inline. Use module-level factories (see "
+                f"repro.sim.factories) to parallelize.",
+                stacklevel=2,
             )
-            if unpicklable is not None:
-                warnings.warn(
-                    f"replicate: {unpicklable} cannot be pickled for "
-                    f"process-pool execution (closure or lambda?); running "
-                    f"seeds inline. Use module-level factories (see "
-                    f"repro.sim.factories) to parallelize.",
-                    stacklevel=2,
-                )
-                n_workers = 0
-        with span(
-            "replicate", "replicate",
-            seeds=len(seeds), backend=backend, workers=n_workers,
-            vector_replicas=vector,
-        ):
-            summary = _replicate_impl(make_nodes, make_adversary, seeds, cfg,
-                                      backend, n_workers, vector)
+            n_workers = 0
+    with span(
+        "replicate", "replicate",
+        seeds=len(seeds), backend=backend, workers=n_workers,
+    ):
+        summary = _replicate_impl(make_nodes, make_adversary, seeds, cfg,
+                                  backend, n_workers)
     if cache_key is not None and cache_mode == "rw":
         from ..cache.runcache import store_replicate
 
@@ -458,7 +425,6 @@ def _replicate_impl(
     cfg: RunConfig,
     backend: str,
     n_workers: int,
-    vector: bool,
 ) -> ReplicationSummary:
     """The execution paths of :func:`replicate`, under its span/progress."""
     from ..obs.progress import report_advance, report_begin, report_finish
@@ -482,7 +448,6 @@ def _replicate_impl(
                         cfg.check_connected,
                         cfg.instrument,
                         cfg.dense_node_limit,
-                        vector,
                     )
                     for chunk in chunks
                 ],
@@ -528,9 +493,10 @@ def _replicate_impl(
         from ..obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-    if backend == "batch":
-        return ReplicationSummary(
-            runs=run_batch_replicas(
+    report_begin(len(seeds), unit="runs", label="replicate")
+    try:
+        if backend == "batch":
+            runs = run_batch_replicas(
                 make_nodes,
                 make_adversary,
                 seeds,
@@ -540,30 +506,27 @@ def _replicate_impl(
                 instrument=cfg.instrument,
                 registry=registry,
                 dense_node_limit=cfg.dense_node_limit,
-                vector_replicas=vector,
             )
-        )
-    report_begin(len(seeds), unit="runs", label="replicate")
-    try:
-        runs = []
-        for seed in seeds:
-            runs.append(
-                run_protocol(
-                    make_nodes,
-                    make_adversary,
-                    RunConfig(
-                        seed=seed,
-                        max_rounds=max_rounds,
-                        bandwidth_factor=cfg.bandwidth_factor,
-                        check_connected=cfg.check_connected,
-                        instrument=cfg.instrument,
-                        registry=registry,
-                        backend="reference",  # already resolved/fallen back above
-                        cache="off",  # the replication entry is the cache unit
-                    ),
+        else:
+            runs = []
+            for seed in seeds:
+                runs.append(
+                    run_protocol(
+                        make_nodes,
+                        make_adversary,
+                        RunConfig(
+                            seed=seed,
+                            max_rounds=max_rounds,
+                            bandwidth_factor=cfg.bandwidth_factor,
+                            check_connected=cfg.check_connected,
+                            instrument=cfg.instrument,
+                            registry=registry,
+                            backend="reference",
+                            cache="off",  # the replication entry is the cache unit
+                        ),
+                    )
                 )
-            )
-            report_advance(label=f"seed={seed}")
+                report_advance(label=f"seed={seed}")
     finally:
         report_finish()
     return ReplicationSummary(runs=runs)

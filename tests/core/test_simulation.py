@@ -32,7 +32,7 @@ def gossip_factory(uid):
 
 
 def assert_fidelity(inst, mapping, factory, seed, state_probe=None):
-    """Drive reduction + reference in lockstep; compare non-spoiled nodes."""
+    """Drive reduction + reference round by round; compare non-spoiled nodes."""
     T = (inst.q - 1) // 2
     ref = run_reference_execution(inst, mapping, factory, seed, rounds=T)
     red = TwoPartyReduction(inst, mapping, factory, seed)

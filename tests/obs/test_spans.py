@@ -27,7 +27,14 @@ from repro.faults.check import trace_fingerprint
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.obs import observe
 from repro.obs.profile import profile_session, render_profile
-from repro.obs.progress import ProgressReporter, StderrTicker, progress_scope
+from repro.obs.progress import (
+    ProgressReporter,
+    StderrTicker,
+    progress_scope,
+    report_advance,
+    report_begin,
+    report_finish,
+)
 from repro.obs.report import render_report, write_report
 from repro.obs.runtime import current_session
 from repro.obs.spans import (
@@ -59,13 +66,13 @@ def run_gossip(n=6, rounds=8, seed=5):
     return eng
 
 
-def _token_replicate(seeds, workers):
+def _token_replicate(seeds, workers, backend="reference"):
     ids = tuple(range(6))
     return replicate(
         NodeSet(ids, BoundNode(TokenFloodNode, source=ids[0])),
         Constant(RandomConnectedAdversary(list(ids), seed=7)),
         seeds=seeds,
-        config=RunConfig(max_rounds=24, workers=workers, backend="reference"),
+        config=RunConfig(max_rounds=24, workers=workers, backend=backend),
     )
 
 
@@ -355,6 +362,21 @@ class TestProgressReporting:
         assert len(rec.advances) >= 2
         assert rec.finishes == len(rec.begins)
 
+    @pytest.mark.parametrize("backend", ["reference", "batch"])
+    def test_outer_scope_counts_replicate_calls_not_seeds(self, backend):
+        """A replicate's seeds advance its own scope, never the caller's."""
+        stream = io.StringIO()
+        with progress_scope(StderrTicker(stream, min_interval=0.0)):
+            report_begin(2, unit="cells", label="sweep")
+            try:
+                for _ in range(2):
+                    _token_replicate((1, 2, 3, 4), workers=0, backend=backend)
+                    report_advance()
+            finally:
+                report_finish()
+        final = stream.getvalue().rsplit("\r\x1b[2K", 1)[-1]
+        assert final.startswith("[sweep] 2/2 cells"), final
+
     def test_no_reporter_is_silent(self, capsys):
         _token_replicate((1,), workers=0)
         captured = capsys.readouterr()
@@ -396,10 +418,10 @@ class TestStderrTicker:
     def test_events_print_as_lines(self):
         ticker, stream = self._ticker()
         ticker.begin(1, label="EXP-X")
-        ticker.event("batch-fallback", "adaptive adversary")
+        ticker.event("degraded-retry", "worker crash on [seed=3]")
         ticker.advance()
         ticker.finish()
-        assert "[EXP-X] batch-fallback: adaptive adversary\n" in stream.getvalue()
+        assert "[EXP-X] degraded-retry: worker crash on [seed=3]\n" in stream.getvalue()
 
 
 class TestCLI:

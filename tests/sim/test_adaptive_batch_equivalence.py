@@ -7,7 +7,7 @@ The contract is the same as for oblivious cells: **bit-identical to the
 reference engine** — trace fingerprints, total bits, outputs, error
 ordering and messages, and instrumentation counters.  A Hypothesis
 property sweeps protocol × adaptive-adversary × seed cells; directed
-tests pin lockstep ``run_batch_replicas`` equivalence, the
+tests pin ``run_batch_replicas`` equivalence, the
 first-divergence-round oracle, the engine-backed two-party reduction
 adversaries (T6/T7), manifest backend provenance, and the incremental
 tape itself.
@@ -173,7 +173,7 @@ def test_adaptive_error_parity_through_run_protocol():
     assert "round 4" in errors[0]
 
 
-# -- lockstep replication --------------------------------------------------
+# -- replication -----------------------------------------------------------
 
 
 @pytest.mark.parametrize("adversary", ADAPTIVE)

@@ -52,6 +52,36 @@ class TestRunConfig:
         cfg = RunConfig.from_dict({"seed": 1, "max_rounds": 2, "novel_field": True})
         assert cfg == RunConfig(seed=1, max_rounds=2)
 
+    def test_removed_vector_keys_still_load(self):
+        """Configs and manifests written before the replica-axis coin
+        block was removed carry ``vector_replicas``/``vectorized_replicas``;
+        they must stay readable."""
+        from repro.obs.manifest import RunManifest
+
+        cfg = RunConfig.from_dict(
+            {"seed": 1, "max_rounds": 2, "backend": "batch", "vector_replicas": True}
+        )
+        assert cfg == RunConfig(seed=1, max_rounds=2, backend="batch")
+        manifest = RunManifest.from_dict({
+            "seed": 3, "num_nodes": 8, "adversary": "RotatingStarAdversary",
+            "backend": "batch", "representation": "dense",
+            "dense_node_limit": 512, "vectorized_replicas": True,
+        })
+        assert (manifest.seed, manifest.backend, manifest.representation) == (
+            3, "batch", "dense"
+        )
+        assert "vectorized_replicas" not in manifest.as_dict()
+
+    def test_config_captures_dense_node_limit(self):
+        cfg = RunConfig(seed=1, max_rounds=5, dense_node_limit=64)
+        data = cfg.as_dict()
+        assert data["dense_node_limit"] == 64
+        assert RunConfig.from_dict(data) == cfg
+
+    def test_dense_node_limit_validated(self):
+        with pytest.raises(ConfigurationError):
+            RunConfig(seed=1, max_rounds=5, dense_node_limit=-1)
+
     def test_evolve_replaces_fields(self):
         base = RunConfig(seed=1, max_rounds=10)
         assert base.evolve(seed=2) == RunConfig(seed=2, max_rounds=10)

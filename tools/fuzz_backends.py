@@ -2,8 +2,8 @@
 
 The batch backend's whole value rests on one contract: every variant of
 the execution stack — reference engine, batch engine, batch with forced
-sparse adjacency (bitset / CSR / legacy scan), batch with replica-axis
-vectorized coins — produces **bit-identical** runs.  This tool hammers
+sparse adjacency (auto bitset/CSR, or the legacy scan) — produces
+**bit-identical** runs.  This tool hammers
 that contract with random cells and, on a mismatch, drives the two
 engines through the staged round protocol in lockstep to name the exact
 round *and stage* where they part ways — turning any future divergence
@@ -89,10 +89,8 @@ ADAPTIVE_ADVERSARIES = ("blocking-flood", "blocking-gossip")
 VARIANTS: Dict[str, Dict[str, Any]] = {
     "reference": {},
     "batch": {},
-    "batch-vector": {"vector_replicas": True},
     "batch-sparse": {"dense_node_limit": 0},
     "batch-scan": {"dense_node_limit": 0, "sparse": "scan"},
-    "batch-sparse-vector": {"dense_node_limit": 0, "vector_replicas": True},
 }
 
 
@@ -267,21 +265,9 @@ def _variant_engine(cell: Cell, seed: int, variant: str):
     adversary = make_adversary_factory(cell.adversary, ids, cell.adv_seed)()
     if variant == "reference":
         return SynchronousEngine(nodes, adversary, CoinSource(seed))
-    kwargs = VARIANTS[variant]
-    engine = build_engine(
-        nodes,
-        adversary,
-        CoinSource(seed),
-        backend="batch",
-        dense_node_limit=kwargs.get("dense_node_limit"),
-        sparse=kwargs.get("sparse", "auto"),
+    return build_engine(
+        nodes, adversary, CoinSource(seed), backend="batch", **VARIANTS[variant]
     )
-    if kwargs.get("vector_replicas"):
-        from repro.sim.batch import ReplicaCoinBlock
-
-        engine._coin_block = ReplicaCoinBlock([seed], sorted(nodes))
-        engine._coin_slot = 0
-    return engine
 
 
 def diagnose_divergence(cell: Cell, seed: int, variant: str) -> Optional[str]:
