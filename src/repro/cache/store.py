@@ -10,9 +10,8 @@ Each entry is a single JSON object::
     {"format_version": 1, "key": "<sha256>", "kind": "cell",
      "created_unix": 1723...,  "recipe": {...} | null, "payload": {...}}
 
-Writes go through the same atomic tmp + ``os.replace`` contract as
-:func:`repro.obs.stream.write_checkpoint`: readers never observe a
-half-written entry, and a crash mid-store leaves at worst a stale
+Writes go through an atomic tmp + ``os.replace``: readers never observe
+a half-written entry, and a crash mid-store leaves at worst a stale
 ``*.tmp`` sibling that the next store of that key overwrites.
 
 Reads are forgiving the way :func:`repro.obs.stream.read_events_jsonl`

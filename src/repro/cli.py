@@ -70,10 +70,11 @@ NAME=FRAC`` per-metric thresholds.
 
 Streaming telemetry (PR 7): ``--stream`` (with ``--trace-out``; or
 ``REPRO_STREAM=1``) makes the session crash-safe — every run/cell/
-fault/progress occurrence appends one fsync'd line to ``events.jsonl``
-and a background thread samples RSS/CPU/GC into ``resource.jsonl``, so
-a killed sweep leaves a loadable partial session (``inspect``/
-``profile``/``report`` mark it PARTIAL instead of failing).  ``repro
+fault/progress occurrence appends one fsync'd line to ``events.jsonl``,
+as do a background thread's RSS/CPU/GC ``heartbeat`` samples and
+periodic metrics ``checkpoint`` events, so a killed sweep leaves a
+loadable partial session (``inspect``/``profile``/``report`` mark it
+PARTIAL instead of failing).  ``repro
 tail SESSION-DIR`` attaches to a live session and follows its events
 (done/total, rates, ETA, faults, retries).  ``repro bench-history
 HISTORY.jsonl`` analyzes the benchmark history store for windowed
@@ -272,7 +273,7 @@ def add_execution_options(
             dest="progress",
             action="store_true",
             default=None,
-            help="stream live progress (done/total, rate, ETA, fallback "
+            help="stream live progress (done/total, rate, ETA, retry "
             "events) to stderr; default: on when stderr is a TTY",
         )
         group.add_argument(

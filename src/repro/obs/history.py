@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .benchdiff import DEFAULT_THRESHOLD, MIN_SECONDS
 from .manifest import collect_provenance
+from .stream import read_events_jsonl
 
 __all__ = [
     "HISTORY_FILENAME",
@@ -105,23 +106,12 @@ def append_history(path: pathlib.Path, record: Dict[str, Any]) -> pathlib.Path:
 
 
 def read_history(path: pathlib.Path) -> List[dict]:
-    """Load a history file in append order, skipping undecodable lines."""
+    """Load a history file in append order, skipping undecodable lines
+    (a torn line from a killed benchmark run) and non-records."""
     path = pathlib.Path(path)
     if not path.is_file():
         return []
-    records: List[dict] = []
-    with path.open(encoding="utf-8") as fh:
-        for raw in fh:
-            raw = raw.strip()
-            if not raw:
-                continue
-            try:
-                line = json.loads(raw)
-            except json.JSONDecodeError:
-                continue  # a torn line from a killed benchmark run
-            if isinstance(line, dict) and line.get("exp_id"):
-                records.append(line)
-    return records
+    return [r for r in read_events_jsonl(path) if r.get("exp_id")]
 
 
 # ----------------------------------------------------------------------

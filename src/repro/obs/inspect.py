@@ -181,7 +181,7 @@ class SessionReport:
 
     Partial sessions — a crashed or still-running streamer with no
     ``manifest.json`` yet (see :mod:`repro.obs.stream`) — load too: the
-    manifest is synthesized from the event stream/checkpoint/run files,
+    manifest is synthesized from the event stream and run files,
     the report is marked PARTIAL, and run files the kill tore mid-write
     are skipped with a note instead of failing the whole report.
     """

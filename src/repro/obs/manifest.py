@@ -29,9 +29,10 @@ MANIFEST_FILENAME = "manifest.json"
 
 #: Version 3 added the ``spans.jsonl`` sidecar (``spans_file``).
 #: Version 4 added provenance (git SHA, hostname, cpu_count, python
-#: version) and the streaming sidecars (``events_file``,
-#: ``resource_file``).  Older manifests load unchanged — every consumer
-#: treats the new fields as optional with defaults.
+#: version) and the event-stream pointer (``events_file``; manifests
+#: written before stream format 2 also point at a resource-timeline
+#: sidecar, which is ignored).  Older manifests load unchanged — every
+#: consumer treats the new fields as optional with defaults.
 SESSION_FORMAT_VERSION = 4
 
 
@@ -154,10 +155,9 @@ class SessionManifest:
     #: provenance stamp (git SHA, hostname, cpu_count, python version);
     #: {} on pre-v4 manifests — consumers show what is there
     provenance: Dict[str, Any] = field(default_factory=dict)
-    #: streaming sidecars (``events.jsonl`` / ``resource.jsonl``), when
-    #: the session streamed (``None`` otherwise or pre-v4)
+    #: the event stream (``events.jsonl``), when the session streamed
+    #: (``None`` otherwise or pre-v4)
     events_file: Optional[str] = None
-    resource_file: Optional[str] = None
     format_version: int = SESSION_FORMAT_VERSION
     #: loader-side marker: True when this manifest was *synthesized* for
     #: a crashed/in-progress session (see :mod:`repro.obs.stream`);
@@ -174,7 +174,6 @@ class SessionManifest:
             "spans_file": self.spans_file,
             "provenance": dict(self.provenance),
             "events_file": self.events_file,
-            "resource_file": self.resource_file,
             "runs": [r.as_dict() for r in self.runs],
             "metrics": self.metrics,
         }
@@ -197,6 +196,5 @@ class SessionManifest:
             spans_file=data.get("spans_file"),
             provenance=data.get("provenance", {}) or {},
             events_file=data.get("events_file"),
-            resource_file=data.get("resource_file"),
             format_version=data.get("format_version", 2),
         )

@@ -69,8 +69,8 @@ class SessionProfile:
     #: True for a crashed/in-progress session: spans were reconstructed
     #: from the event stream (completed prefix), not ``spans.jsonl``
     partial: bool = False
-    #: rollup of ``resource.jsonl`` (see
-    #: :func:`repro.obs.resource.summarize_resources`); None without one
+    #: rollup of the ``heartbeat`` events (see
+    #: :func:`repro.obs.resource.summarize_resources`); None without any
     resources: Optional[Dict[str, Any]] = None
 
     @property
@@ -102,11 +102,7 @@ def profile_session(directory: pathlib.Path, top_k: int = 10) -> SessionProfile:
     prefix instead: spans reconstructed from the event stream, wall from
     the synthesized manifest, marked ``partial``.
     """
-    from .resource import (
-        RESOURCE_FILENAME,
-        read_resource_jsonl,
-        summarize_resources,
-    )
+    from .resource import summarize_resources
     from .stream import (
         EVENTS_FILENAME,
         load_session_manifest,
@@ -116,20 +112,18 @@ def profile_session(directory: pathlib.Path, top_k: int = 10) -> SessionProfile:
 
     directory = pathlib.Path(directory)
     spans = session_spans(directory)
-    partial = False
-    manifest = None
     try:
         manifest = load_session_manifest(directory)
     except FileNotFoundError:
         manifest = None
-    if manifest is not None and manifest.partial:
-        partial = True
-        if not spans and (directory / EVENTS_FILENAME).is_file():
-            spans = spans_from_events(read_events_jsonl(directory / EVENTS_FILENAME))
-    resources = None
-    resource_path = directory / RESOURCE_FILENAME
-    if resource_path.is_file():
-        resources = summarize_resources(read_resource_jsonl(resource_path))
+    partial = manifest is not None and manifest.partial
+    events_path = directory / EVENTS_FILENAME
+    events = read_events_jsonl(events_path) if events_path.is_file() else []
+    if partial and not spans:
+        spans = spans_from_events(events)
+    resources = summarize_resources(
+        [e for e in events if e.get("type") == "heartbeat"]
+    )
     self_sec = _self_seconds(spans)
     by_kind: Dict[str, _Rollup] = {}
     by_protocol: Dict[str, _Rollup] = {}

@@ -6,11 +6,13 @@ module adds a small callback protocol — :class:`ProgressReporter` — that
 the execution layer (:func:`~repro.sim.runner.replicate`,
 :func:`~repro.analysis.sweep.cartesian_sweep`,
 :class:`~repro.sim.parallel.ParallelExecutor`) notifies as work
-completes, plus a default stderr ticker.  It is the streaming seam a
-future sweep-service daemon (ROADMAP item 1) attaches to: implement the
-four methods, install the reporter with :func:`progress_scope`, and the
-daemon sees cells done/total, throughput, ETA, and per-cell status
-without touching the execution layer again.
+completes, plus a default stderr ticker.  Any other consumer attaches
+the same way: implement the four methods, install the reporter with
+:func:`progress_scope`, and it sees cells done/total, throughput, ETA,
+and per-cell status without touching the execution layer.  A streaming
+observation session forwards the same notifications into its
+``events.jsonl`` as ``progress`` events, which is how ``repro tail``
+follows a ``repro serve`` job from another process.
 
 Like observation sessions, reporters are ambient (a module-global
 stack, innermost wins) so that progress does not have to be threaded

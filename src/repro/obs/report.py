@@ -11,13 +11,13 @@ artifact next to ``EXP-*.json`` and opened years later.  Sections:
 * hottest cells — the EXP-SUB optimization targets;
 * metrics snapshot — the session's counters/gauges/histograms;
 * runs — the per-run manifest table, backend included;
-* resources — RSS/CPU/GC rollup when the session sampled
-  (:mod:`repro.obs.resource`);
-* deltas — when ``--baseline`` names a *session directory*,
-  bench-diff-style relative changes of shared counters and of the
-  session wall; when it names a *history file*
-  (``benchmarks/history.jsonl``), a sparkline trend table per
-  experiment metric instead (:mod:`repro.obs.history`).
+* resources — RSS/CPU/GC rollup of the session's ``heartbeat`` events
+  when it sampled (:mod:`repro.obs.resource`);
+* deltas — when ``--baseline`` names a *session* (its directory or
+  its ``manifest.json``, partial sessions included), bench-diff-style
+  relative changes of shared counters and of the session wall; when it
+  names a *history file* (``benchmarks/history.jsonl``), a sparkline
+  trend table per experiment metric instead (:mod:`repro.obs.history`).
 
 Partial sessions (crashed or still running — no ``manifest.json``)
 render too, marked PARTIAL, from the synthesized manifest.
@@ -212,7 +212,7 @@ def render_report(
         body.append(
             '<p><strong>PARTIAL session</strong> — no clean close; this '
             "report covers the completed prefix recovered from the event "
-            "stream and checkpoint.</p>"
+            "stream.</p>"
         )
 
     # provenance
@@ -320,9 +320,7 @@ def render_report(
         if baseline.is_file() and baseline.name != MANIFEST_FILENAME:
             body.append(_history_section(baseline))
         else:
-            base_manifest = SessionManifest.load(
-                pathlib.Path(baseline) / MANIFEST_FILENAME
-            )
+            base_manifest = load_session_manifest(baseline)
             rows = _delta_rows(manifest, base_manifest)
             body.append(
                 f"<h2>Deltas vs baseline: {_esc(base_manifest.label or baseline)}</h2>"

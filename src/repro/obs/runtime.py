@@ -40,9 +40,9 @@ from .instrumentation import Instrumentation
 from .ledger import ProofLedger
 from .manifest import RunManifest, SessionManifest, collect_provenance
 from .metrics import MetricsRegistry, NULL_REGISTRY
-from .resource import RESOURCE_FILENAME, ResourceSampler, resolve_interval
+from .resource import DEFAULT_INTERVAL, ResourceSampler
 from .spans import SPANS_FILENAME, Span, SpanRecorder, write_spans_jsonl
-from .stream import EVENTS_FILENAME, EventStream, resolve_stream, write_checkpoint
+from .stream import EVENTS_FILENAME, EventStream, resolve_stream
 
 __all__ = [
     "ObservationSession",
@@ -105,15 +105,15 @@ class ObservationSession:
         Free-form tag (e.g. the experiment name) stored in the manifest.
     stream:
         Crash-safe streaming (see :mod:`repro.obs.stream`): append one
-        fsync'd event line per occurrence to ``events.jsonl``, plus
-        periodic atomic checkpoints, so a ``kill -9`` leaves a loadable
-        partial session.  ``None`` defers to ``REPRO_STREAM``; only
+        fsync'd event line per occurrence to ``events.jsonl``, periodic
+        ``checkpoint`` events among them, so a ``kill -9`` leaves a
+        loadable partial session.  ``None`` defers to ``REPRO_STREAM``; only
         persisting, non-collect sessions ever stream (workers ship their
         observations back instead — single writer per session dir).
     resource_interval:
-        Seconds between background resource samples when streaming
-        (``None``: ``REPRO_RESOURCE_INTERVAL`` or 1.0; ``<= 0``
-        disables the sampler).
+        Seconds between background resource samples (``heartbeat``
+        events) when streaming (``None``: 1.0; ``<= 0`` disables the
+        sampler).
     """
 
     def __init__(
@@ -151,6 +151,8 @@ class ObservationSession:
         #: min seconds between checkpoints (events still stream per line)
         self.checkpoint_interval = 1.0
         self._last_checkpoint = 0.0
+        #: run count at the last checkpoint; no new runs, no checkpoint
+        self._checkpoint_runs = 0
         self.streaming = (
             not collect and self.trace_dir is not None and resolve_stream(stream)
         )
@@ -161,10 +163,12 @@ class ObservationSession:
                 header_extra={"provenance": self.manifest.provenance},
             )
             self.spans.on_record = self._span_recorded
-            interval = resolve_interval(resource_interval)
+            interval = (
+                DEFAULT_INTERVAL if resource_interval is None
+                else float(resource_interval)
+            )
             if interval > 0:
                 self._sampler = ResourceSampler(
-                    self.trace_dir,
                     registry=self.registry,
                     interval=interval,
                     emit=lambda **payload: self._emit("heartbeat", **payload),
@@ -202,36 +206,42 @@ class ObservationSession:
         return [by_id[sid] for sid in self.spans._stack if sid in by_id]
 
     def checkpoint(self) -> None:
-        """Atomically snapshot aggregate state to ``checkpoint.json``.
+        """Stream a ``checkpoint`` event: the session's aggregates so far.
 
-        The event stream is the per-occurrence record; the checkpoint is
+        The other events are the per-occurrence record; the checkpoint is
         what makes a crashed session's *aggregates* — metrics registry,
-        open-span stack, run count — recoverable to the last write
-        instead of to zero.
+        worker count, run count, open-span stack — recoverable to the
+        last checkpoint instead of to zero.  Label, provenance and wall
+        clock are already in the stream (``stream-start``, ``elapsed``).
         """
-        if self.stream is None or self.trace_dir is None:
-            return
-        write_checkpoint(
-            self.trace_dir,
-            {
-                "label": self.manifest.label,
-                "provenance": dict(self.manifest.provenance),
-                "workers": self.manifest.workers,
-                "wall_seconds": time.perf_counter() - self._started_at,
-                "runs": self._run_index,
-                "events_seq": self.stream.seq,
-                "metrics": self.registry.snapshot(),
-                "open_spans": [sp.as_dict() for sp in self._open_spans()],
-            },
-        )
-        self._last_checkpoint = time.perf_counter()
-
-    def _maybe_checkpoint(self) -> None:
-        """Checkpoint, rate-limited to :attr:`checkpoint_interval`."""
         if self.stream is None:
             return
-        if time.perf_counter() - self._last_checkpoint >= self.checkpoint_interval:
-            self.checkpoint()
+        self._last_checkpoint = time.perf_counter()
+        self._checkpoint_runs = self._run_index
+        self.stream.emit(
+            "checkpoint",
+            workers=self.manifest.workers,
+            runs=self._run_index,
+            metrics=self.registry.snapshot(),
+            open_spans=[sp.as_dict() for sp in self._open_spans()],
+        )
+
+    def _maybe_checkpoint(self) -> None:
+        """Checkpoint, at most once per :attr:`checkpoint_interval` and
+        only when a run completed since the last one (an idle session's
+        snapshot has not changed).
+
+        The sampler thread and the job thread both call this unlocked:
+        if they race, the stream's lock keeps both lines whole and the
+        cost is one duplicate checkpoint.
+        """
+        if (
+            self.stream is None
+            or self._run_index == self._checkpoint_runs
+            or time.perf_counter() - self._last_checkpoint < self.checkpoint_interval
+        ):
+            return
+        self.checkpoint()
 
     def record_progress(self, phase: str, label: str, depth: int, **extra: Any) -> None:
         """Stream one progress event (begin/advance/finish); see
@@ -466,13 +476,6 @@ class ObservationSession:
             self._faults_fh.close()
             self._faults_fh = None
         if self.trace_dir is not None:
-            if self.faults and not (self.trace_dir / "faults.jsonl").is_file():
-                # collect-less sessions write incrementally above; this
-                # covers faults ingested before trace_dir semantics ever
-                # opened the file (defensive — record_fault handles both)
-                with (self.trace_dir / "faults.jsonl").open("w") as fh:
-                    for event in self.faults:
-                        fh.write(json.dumps(event, sort_keys=True) + "\n")
             if self.spans.spans:
                 write_spans_jsonl(
                     self.trace_dir / SPANS_FILENAME,
@@ -482,8 +485,6 @@ class ObservationSession:
                 self.manifest.spans_file = SPANS_FILENAME
             if self.stream is not None:
                 self.manifest.events_file = EVENTS_FILENAME
-                if self._sampler is not None:
-                    self.manifest.resource_file = RESOURCE_FILENAME
                 self.stream.close(
                     runs=self._run_index,
                     wall_seconds=self.manifest.wall_seconds,

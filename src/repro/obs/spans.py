@@ -63,8 +63,8 @@ __all__ = [
 ]
 
 #: The canonical hierarchy, outermost first.  ``event`` marks
-#: zero-duration occurrences (fallbacks, retries); other kinds are
-#: accepted — the hierarchy is a convention, not a schema.
+#: zero-duration occurrences (retries, cache events, tape stats); other
+#: kinds are accepted — the hierarchy is a convention, not a schema.
 SPAN_KINDS = ("sweep", "cell", "replicate", "run", "phase", "event")
 
 SPANS_FILENAME = "spans.jsonl"
@@ -309,7 +309,7 @@ def span(kind: str, name: str, **tags: Any) -> Iterator[Optional[Span]]:
 
 
 def span_event(name: str, **tags: Any) -> Optional[Span]:
-    """Record a zero-duration ``event`` span (fallbacks, retries)."""
+    """Record a zero-duration ``event`` span (retries, cache events)."""
     rec = _recorder()
     if rec is None:
         return None

@@ -1,4 +1,4 @@
-"""Crash-safe streaming telemetry: ``events.jsonl`` + checkpoints.
+"""Crash-safe streaming telemetry: ``events.jsonl``.
 
 An :class:`~repro.obs.runtime.ObservationSession` historically persisted
 its manifest, spans, and fault events only at ``close()`` — a
@@ -8,10 +8,11 @@ persisting session opened with ``stream=True`` (or under
 ``REPRO_STREAM=1``) additionally appends one JSON line per occurrence to
 an append-only ``events.jsonl``, each line flushed and ``fsync``-ed
 before the session moves on, so the file is a valid record of the
-completed prefix at every instant.
+completed prefix at every instant.  It is the only file a streaming
+session writes for crash recovery.
 
 Event types (the union the consumers — ``repro tail``, partial-session
-loading — understand):
+loading, ``repro profile`` — understand):
 
 * ``stream-start`` — the header line: format version, label, pid,
   provenance;
@@ -29,24 +30,23 @@ loading — understand):
 * ``progress`` — begin/advance/finish heartbeats from the execution
   layer (:func:`repro.obs.progress.report_begin` and friends), the
   done/total/rate seam ``repro tail`` renders;
-* ``heartbeat`` — periodic liveness from the resource sampler thread
-  (:mod:`repro.obs.resource`);
+* ``heartbeat`` — one resource sample (RSS, CPU percent, GC
+  collections) from the sampler thread (:mod:`repro.obs.resource`);
+  the heartbeats are the session's resource timeline;
+* ``checkpoint`` — the session's aggregates so far (metrics snapshot,
+  worker count, run count, open spans), rate-limited, so a crashed
+  session's metrics are recoverable to the last checkpoint instead of
+  to zero;
 * ``session-close`` — the clean-shutdown marker (absent after a crash).
-
-**Checkpoints.**  Alongside the event stream the session periodically
-writes ``checkpoint.json`` — an atomic (write-to-temp + ``os.replace``)
-snapshot of the metrics registry, the open-span stack, and the run
-count — so a crashed session's aggregate metrics are recoverable to the
-last checkpoint, not just to zero.
 
 **Partial sessions.**  :func:`load_session_manifest` is the single
 loader every consumer goes through: a directory with a ``manifest.json``
 loads it as before; a directory without one (crashed or still running)
 synthesizes a :class:`~repro.obs.manifest.SessionManifest` from the
-checkpoint, the event stream, and the run files actually on disk, with
-``partial=True`` so ``repro inspect``/``profile``/``report`` can mark it
-— they must *never* refuse a partial session.  The event reader
-tolerates a torn final line (a kill mid-``write``) by design.
+event stream and the run files actually on disk, with ``partial=True``
+so ``repro inspect``/``profile``/``report`` can mark it — they must
+*never* refuse a partial session.  The event reader tolerates a torn
+final line (a kill mid-``write``) by design.
 """
 
 from __future__ import annotations
@@ -56,20 +56,17 @@ import os
 import pathlib
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from .manifest import MANIFEST_FILENAME, RunManifest, SessionManifest
 
 __all__ = [
     "EVENTS_FILENAME",
-    "CHECKPOINT_FILENAME",
     "STREAM_ENV",
     "STREAM_FORMAT_VERSION",
     "EventStream",
     "resolve_stream",
     "read_events_jsonl",
-    "write_checkpoint",
-    "load_checkpoint",
     "is_partial_session",
     "synthesize_manifest",
     "load_session_manifest",
@@ -78,16 +75,17 @@ __all__ = [
 ]
 
 EVENTS_FILENAME = "events.jsonl"
-CHECKPOINT_FILENAME = "checkpoint.json"
 
 #: Environment variable turning streaming on for every persisting
 #: session (the CLI ``--stream`` flag wins over it either way).
 STREAM_ENV = "REPRO_STREAM"
 
-#: Version 1 of the event-stream sidecar (independent of the session
-#: manifest's ``format_version``; both readers treat the other file as
-#: optional).
-STREAM_FORMAT_VERSION = 1
+#: Version of the event stream (independent of the session manifest's
+#: ``format_version``).  Version 2 streams ``checkpoint`` events; version
+#: 1 sessions also wrote ``checkpoint.json`` and ``resource.jsonl``
+#: beside the stream, which readers ignore (their heartbeats carry the
+#: same resource samples).
+STREAM_FORMAT_VERSION = 2
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
@@ -125,11 +123,6 @@ class EventStream:
         }
         head.update(header_extra or {})
         self.emit("stream-start", **head)
-
-    @property
-    def seq(self) -> int:
-        """Events emitted so far (monotone; the last line's ``seq``)."""
-        return self._seq
 
     def emit(self, type_: str, **payload: Any) -> None:
         """Append one event line; durable before this method returns."""
@@ -178,53 +171,18 @@ def read_events_jsonl(path: pathlib.Path) -> List[dict]:
     return events
 
 
-def write_checkpoint(directory: pathlib.Path, payload: Dict[str, Any]) -> pathlib.Path:
-    """Atomically replace ``checkpoint.json`` (temp file + ``os.replace``).
-
-    Readers therefore always see either the previous checkpoint or the
-    new one, never a torn intermediate — the same crash contract as the
-    event stream's line-at-a-time appends.  Each writer (process and
-    thread) has its own temp file, so a session's resource-sampler tick
-    and its job thread can checkpoint at the same time.
-    """
-    directory = pathlib.Path(directory)
-    path = directory / CHECKPOINT_FILENAME
-    tmp = directory / f"{CHECKPOINT_FILENAME}.{os.getpid()}-{threading.get_ident()}.tmp"
-    data = json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
-    with tmp.open("w", encoding="utf-8") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-    return path
-
-
-def load_checkpoint(directory: pathlib.Path) -> Optional[dict]:
-    """The last checkpoint of a session directory, or None."""
-    path = pathlib.Path(directory) / CHECKPOINT_FILENAME
-    if not path.is_file():
-        return None
-    try:
-        data = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):  # pragma: no cover - atomic writes
-        return None
-    return data if isinstance(data, dict) else None
-
-
 def is_partial_session(directory: pathlib.Path) -> bool:
     """True when ``directory`` holds session output but no final manifest.
 
     That is the signature of a crashed or still-running session: run
-    files / an event stream / a checkpoint exist, but ``close()`` never
-    wrote ``manifest.json``.
+    files or an event stream exist, but ``close()`` never wrote
+    ``manifest.json``.
     """
     directory = pathlib.Path(directory)
     if not directory.is_dir() or (directory / MANIFEST_FILENAME).is_file():
         return False
-    return (
-        (directory / EVENTS_FILENAME).is_file()
-        or (directory / CHECKPOINT_FILENAME).is_file()
-        or any(directory.glob("run-*.jsonl"))
+    return (directory / EVENTS_FILENAME).is_file() or any(
+        directory.glob("run-*.jsonl")
     )
 
 
@@ -257,69 +215,51 @@ def _runs_from_files(directory: pathlib.Path) -> List[RunManifest]:
 def synthesize_manifest(directory: pathlib.Path) -> SessionManifest:
     """Build the best-available :class:`SessionManifest` for a partial dir.
 
-    Sources, in order of authority: the checkpoint (aggregate metrics,
-    label, workers, provenance), the event stream (completed runs, wall
-    clock so far), and finally the run files themselves (a session
-    killed before its first checkpoint still reports every persisted
-    run).  The result carries ``partial=True`` and is never written
-    back to disk.
+    Everything comes from the event stream: label and provenance from
+    ``stream-start``, metrics and workers from the last ``checkpoint``,
+    runs from the ``run-complete`` events, and the wall clock from the
+    last event's ``elapsed``.  A session killed before its first run
+    completed an event still reports every run file on disk.  The result
+    carries ``partial=True`` and is never written back to disk.
     """
     directory = pathlib.Path(directory)
-    checkpoint = load_checkpoint(directory) or {}
-    events: List[dict] = []
     events_path = directory / EVENTS_FILENAME
-    if events_path.is_file():
-        events = read_events_jsonl(events_path)
-    label = checkpoint.get("label")
-    provenance = dict(checkpoint.get("provenance") or {})
-    for event in events:
-        if event.get("type") == "stream-start":
-            label = label or event.get("label")
-            if not provenance and isinstance(event.get("provenance"), dict):
-                provenance = dict(event["provenance"])
-            break
-    runs = _runs_from_events(events)
-    if not runs:
-        runs = _runs_from_files(directory)
-    wall = checkpoint.get("wall_seconds")
-    if events:
-        last = events[-1].get("elapsed")
-        if isinstance(last, (int, float)) and (wall is None or last > wall):
-            wall = float(last)
-    manifest = SessionManifest(
-        label=label,
-        wall_seconds=wall,
-        runs=runs,
+    events = read_events_jsonl(events_path) if events_path.is_file() else []
+    start: dict = next((e for e in events if e.get("type") == "stream-start"), {})
+    checkpoint: dict = next(
+        (e for e in reversed(events) if e.get("type") == "checkpoint"), {}
+    )
+    return SessionManifest(
+        label=start.get("label"),
+        wall_seconds=events[-1].get("elapsed") if events else None,
+        runs=_runs_from_events(events) or _runs_from_files(directory),
         metrics=dict(checkpoint.get("metrics") or {}),
         workers=int(checkpoint.get("workers") or 0),
-        provenance=provenance,
+        provenance=dict(start.get("provenance") or {}),
+        events_file=EVENTS_FILENAME if events_path.is_file() else None,
         partial=True,
     )
-    if events_path.is_file():
-        manifest.events_file = EVENTS_FILENAME
-    from .resource import RESOURCE_FILENAME
-
-    if (directory / RESOURCE_FILENAME).is_file():
-        manifest.resource_file = RESOURCE_FILENAME
-    return manifest
 
 
-def load_session_manifest(directory: pathlib.Path) -> SessionManifest:
-    """The one loader for session directories, partial or complete.
+def load_session_manifest(path: pathlib.Path) -> SessionManifest:
+    """The one loader for sessions, partial or complete.
 
-    A ``manifest.json`` wins (clean close); otherwise a partial manifest
+    ``path`` is a session directory or its ``manifest.json``.  A
+    ``manifest.json`` wins (clean close); otherwise a partial manifest
     is synthesized.  Raises :class:`FileNotFoundError` only when the
     directory holds no session output at all.
     """
-    directory = pathlib.Path(directory)
+    directory = pathlib.Path(path)
+    if directory.name == MANIFEST_FILENAME and directory.is_file():
+        directory = directory.parent
     manifest_path = directory / MANIFEST_FILENAME
     if manifest_path.is_file():
         return SessionManifest.load(manifest_path)
     if is_partial_session(directory):
         return synthesize_manifest(directory)
     raise FileNotFoundError(
-        f"{directory}: no {MANIFEST_FILENAME}, event stream, checkpoint, or "
-        f"run files — not an observation session directory"
+        f"{directory}: no {MANIFEST_FILENAME}, event stream, or run files "
+        f"— not an observation session directory"
     )
 
 

@@ -6,9 +6,9 @@ module is that follower: open ``events.jsonl``, render what has
 happened so far, then poll the file for growth and render each new
 event as one line — progress scopes collapse into an updating
 ``done/total  rate/s  ETA`` status, runs/cells/faults/retries print as
-discrete lines.  It is the terminal-facing twin of the streaming seam
-the ROADMAP's ``repro serve`` daemon will expose over HTTP: same file,
-same events, different renderer.
+discrete lines.  Every ``repro serve`` job streams into its own session
+directory, so the same follower attaches to a daemon job as to a
+``--stream`` run on the command line.
 
 Attach semantics:
 
@@ -164,6 +164,10 @@ class TailRenderer:
         rss = event.get("rss_bytes")
         rss_s = f"{rss / 1048576:.0f} MiB" if isinstance(rss, (int, float)) else "?"
         return [f"  alive  rss {rss_s}  cpu {event.get('cpu_percent', '?')}%"]
+
+    def _on_checkpoint(self, event: dict) -> List[str]:
+        # the metrics snapshot is kilobytes: name it, never dump it
+        return [f"  checkpoint  {event.get('runs', '?')} runs"] if self.verbose else []
 
     def _on_session_close(self, event: dict) -> List[str]:
         self.closed = True

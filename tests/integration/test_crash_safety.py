@@ -22,7 +22,6 @@ import pytest
 from repro.obs.export import read_trace_jsonl
 from repro.obs.inspect import inspect_session
 from repro.obs.profile import profile_session
-from repro.obs.resource import RESOURCE_FILENAME, read_resource_jsonl
 from repro.obs.stream import (
     EVENTS_FILENAME,
     is_partial_session,
@@ -132,6 +131,9 @@ class TestKilledSweep:
         assert manifest.partial
         assert len(manifest.runs) == len(_SEEDS)
         assert manifest.provenance.get("hostname")
+        # the metrics snapshot comes back from the last checkpoint event
+        assert manifest.metrics
+        assert manifest.metrics["runs_total"]["value"] >= 1
 
     def test_inspect_loads_and_marks_partial(self, killed_session):
         report = inspect_session(killed_session)
@@ -153,6 +155,11 @@ class TestKilledSweep:
         assert f"{len(_SEEDS)} runs" in text
 
     def test_resource_timeline_survived(self, killed_session):
-        samples = read_resource_jsonl(killed_session / RESOURCE_FILENAME)
+        events = read_events_jsonl(killed_session / EVENTS_FILENAME)
+        samples = [e for e in events if e["type"] == "heartbeat"]
         assert samples, "sampler never ticked before the kill"
         assert all("rss_bytes" in s for s in samples)
+        resources = profile_session(killed_session).resources
+        assert resources["samples"] == len(samples)
+        assert sorted(p.name for p in killed_session.iterdir()
+                      if not p.name.startswith("run-")) == [EVENTS_FILENAME]

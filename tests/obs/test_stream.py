@@ -1,5 +1,6 @@
-"""Streaming telemetry (PR 7): events.jsonl, checkpoints, resource
-sampling, partial sessions, and the benchmark history store.
+"""Streaming telemetry: events.jsonl (checkpoint and heartbeat events
+included), resource sampling, partial sessions, and the benchmark
+history store.
 
 The load-bearing properties:
 
@@ -22,6 +23,7 @@ import os
 import pathlib
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
@@ -46,28 +48,22 @@ from repro.obs.inspect import inspect_session
 from repro.obs.manifest import MANIFEST_FILENAME, collect_provenance
 from repro.obs.profile import profile_session, render_profile
 from repro.obs.resource import (
-    RESOURCE_FILENAME,
     ResourceSampler,
-    read_resource_jsonl,
-    resolve_interval,
     sample_resources,
     summarize_resources,
 )
 from repro.obs.spans import session_spans
 from repro.obs.stream import (
-    CHECKPOINT_FILENAME,
     EVENTS_FILENAME,
     STREAM_ENV,
     EventStream,
     is_partial_session,
-    load_checkpoint,
     load_session_manifest,
     read_events_jsonl,
     resolve_stream,
     spans_from_events,
     stream_progress_totals,
     synthesize_manifest,
-    write_checkpoint,
 )
 from repro.protocols.flooding import TokenFloodNode
 from repro.sim.config import RunConfig
@@ -152,25 +148,35 @@ class TestEventStream:
         assert [e["type"] for e in events] == ["stream-start", "run-complete"]
 
     def test_checkpoint_roundtrip_is_atomic(self, tmp_path):
-        payload = {"runs": 3, "metrics": {"a": 1}}
-        write_checkpoint(tmp_path, payload)
-        assert load_checkpoint(tmp_path)["runs"] == 3
-        # no stray tmp file left behind
-        leftovers = [p for p in tmp_path.iterdir() if p.name != CHECKPOINT_FILENAME]
-        assert leftovers == []
+        """A checkpoint is one event line: it lands whole, and a partial
+        session's metrics come back from it."""
+        d = tmp_path / "s"
+        with observe(trace_dir=d, stream=True, resource_interval=0, label="s") as s:
+            s.registry.counter("widgets").inc(3)
+            s.checkpoint()
+            checkpoints = [
+                e for e in read_events_jsonl(d / EVENTS_FILENAME)
+                if e["type"] == "checkpoint"
+            ]
+            assert len(checkpoints) == 1
+            assert checkpoints[0]["metrics"]["widgets"]["value"] == 3
+            assert synthesize_manifest(d).metrics["widgets"]["value"] == 3
+        # the stream records label, provenance and wall clock itself
+        assert not {"label", "provenance", "wall_seconds", "events_seq"} & set(
+            checkpoints[0]
+        )
+        assert [p.name for p in d.iterdir() if "checkpoint" in p.name] == []
 
     def test_concurrent_checkpoint_writers_leave_valid_json(self, tmp_path):
         """A session's sampler tick and its job thread checkpoint at the
-        same time; neither may lose the other's temp file."""
-        errors = []
+        same time; the stream's lock keeps every line whole and ordered."""
+        path = tmp_path / EVENTS_FILENAME
+        stream = EventStream(path)
         payloads = [{"writer": w, "pad": "x" * 4096} for w in range(4)]
 
         def writer(payload):
-            try:
-                for _ in range(60):
-                    write_checkpoint(tmp_path, payload)
-            except OSError as exc:  # the old shared temp name raised here
-                errors.append(exc)
+            for _ in range(60):
+                stream.emit("checkpoint", **payload)
 
         old_interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -183,36 +189,76 @@ class TestEventStream:
         finally:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert load_checkpoint(tmp_path) in payloads
-        assert [p.name for p in tmp_path.iterdir()] == [CHECKPOINT_FILENAME]
+        stream.close()
+        lines = path.read_text().splitlines()
+        events = [json.loads(line) for line in lines]  # every line parses
+        assert len(events) == 2 + 4 * 60
+        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
+        assert Counter(e.get("writer") for e in events if e["type"] == "checkpoint") == {
+            w: 60 for w in range(4)
+        }
 
     def test_session_checkpoints_from_two_threads(self, tmp_path):
         d = tmp_path / "s"
         errors = []
+        done = threading.Event()
         with observe(trace_dir=d, stream=True, resource_interval=0, label="s") as s:
             s.checkpoint_interval = 0.0
 
             def tick():
                 try:
-                    for _ in range(40):
+                    while not done.is_set():
                         s._maybe_checkpoint()
-                except OSError as exc:
+                except Exception as exc:  # pragma: no cover - the failure
                     errors.append(exc)
 
             threads = [threading.Thread(target=tick) for _ in range(2)]
             for t in threads:
                 t.start()
-            for t in threads:
-                t.join(timeout=60)
+            try:
+                _token_replicate((1, 2, 3, 4, 5, 6))
+            finally:
+                done.set()
+                for t in threads:
+                    t.join(timeout=60)
             assert not any(t.is_alive() for t in threads)
             assert errors == []
-            assert load_checkpoint(d)["label"] == "s"
-        assert not list(d.glob("*.tmp"))
+        lines = (d / EVENTS_FILENAME).read_text().splitlines()
+        events = [json.loads(line) for line in lines]  # every line parses
+        seqs = [e["seq"] for e in events]
+        assert all(a < b for a, b in zip(seqs, seqs[1:]))
+        checkpoints = [e for e in events if e["type"] == "checkpoint"]
+        assert checkpoints and checkpoints[-1]["runs"] == 6
+        assert events[-1]["type"] == "session-close"
+
+    def test_idle_session_skips_checkpoints(self, tmp_path):
+        d = tmp_path / "s"
+        with observe(trace_dir=d, stream=True, resource_interval=0) as s:
+            s.checkpoint_interval = 0.0
+            _token_replicate((1,))
+            for _ in range(5):
+                s._maybe_checkpoint()  # no run completed since the last one
+            _token_replicate((2,))
+            s._maybe_checkpoint()
+        events = read_events_jsonl(d / EVENTS_FILENAME)
+        assert [e["runs"] for e in events if e["type"] == "checkpoint"] == [1, 2]
 
     def test_corrupt_checkpoint_loads_none(self, tmp_path):
-        (tmp_path / CHECKPOINT_FILENAME).write_text("{nope")
-        assert load_checkpoint(tmp_path) is None
+        """A checkpoint torn by a kill is skipped: metrics fall back to
+        the previous checkpoint, or to none."""
+        d, _ = _streamed_session(tmp_path)
+        _make_partial(d)
+        events = d / EVENTS_FILENAME
+        with events.open("a") as fh:
+            fh.write('{"type": "checkpoint", "metrics": {"torn"')
+        manifest = synthesize_manifest(d)
+        assert manifest.metrics and "torn" not in manifest.metrics
+        lines = [
+            line for line in events.read_text().splitlines()
+            if '"type": "checkpoint"' not in line or "torn" in line
+        ]
+        events.write_text("\n".join(lines))
+        assert synthesize_manifest(d).metrics == {}
 
 
 class TestStreamingSession:
@@ -228,6 +274,10 @@ class TestStreamingSession:
         assert manifest.events_file == EVENTS_FILENAME
         assert manifest.provenance.get("hostname")
         assert manifest.provenance.get("python_version")
+        assert events[0]["format_version"] == 2
+        assert sorted(p.name for p in d.iterdir() if not p.name.startswith("run-")) == [
+            EVENTS_FILENAME, MANIFEST_FILENAME, "spans.jsonl",
+        ]
 
     def test_progress_events_streamed(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
@@ -356,16 +406,25 @@ class TestPartialSession:
     def test_stale_checkpoint_never_shadows_fresher_events(self, tmp_path):
         d, session = _streamed_session(tmp_path)
         _make_partial(d)
-        checkpoint = load_checkpoint(d)
-        # rate limiting means the checkpoint may lag the event stream...
-        assert checkpoint is not None
-        assert checkpoint["runs"] <= session.num_runs
-        # ...but runs are synthesized from events, aggregates from the
-        # checkpoint's last write (recoverable, not zeroed)
+        events = read_events_jsonl(d / EVENTS_FILENAME)
+        checkpoints = [e for e in events if e["type"] == "checkpoint"]
+        # rate limiting means the last checkpoint may lag the stream...
+        assert checkpoints
+        assert checkpoints[-1]["runs"] <= session.num_runs
+        # ...but runs are synthesized from run-complete events, the wall
+        # clock from the last event, and the aggregates from the last
+        # checkpoint (recoverable, not zeroed)
         manifest = synthesize_manifest(d)
         assert len(manifest.runs) == session.num_runs == 3
-        assert manifest.metrics
+        assert manifest.metrics == checkpoints[-1]["metrics"]
+        assert manifest.metrics["runs_total"]["value"] >= 1
+        assert manifest.wall_seconds == events[-1]["elapsed"]
         assert manifest.label == "stream"
+        assert manifest.provenance.get("hostname")
+
+    def test_manifest_path_loads_like_its_directory(self, tmp_path):
+        d, _ = _streamed_session(tmp_path)
+        assert load_session_manifest(d / MANIFEST_FILENAME).label == "stream"
 
     def test_torn_run_file_skipped_with_note(self, tmp_path):
         d, _ = _streamed_session(tmp_path)
@@ -394,40 +453,51 @@ class TestResourceSampler:
         heartbeats = []
         ticks = []
         sampler = ResourceSampler(
-            tmp_path, registry=registry, interval=10,
+            registry=registry, interval=10,
             emit=lambda **p: heartbeats.append(p), on_tick=lambda: ticks.append(1),
         )
         sampler.sample_once()
         sampler.sample_once()
         sampler.stop()
-        samples = read_resource_jsonl(tmp_path / RESOURCE_FILENAME)
-        assert len(samples) == 2
         assert len(heartbeats) == 2 and len(ticks) == 2
-        summary = summarize_resources(samples)
+        assert set(heartbeats[0]) == {"rss_bytes", "cpu_percent", "gc_collections"}
+        assert registry.gauge("process_gc_collections").value == (
+            heartbeats[-1]["gc_collections"]
+        )
+        summary = summarize_resources(heartbeats)
         assert summary["samples"] == 2
+        assert list(tmp_path.iterdir()) == []  # the sampler writes no file
 
     def test_on_tick_exceptions_swallowed(self, tmp_path):
         def boom():
             raise RuntimeError("never takes the sweep down")
 
-        sampler = ResourceSampler(tmp_path, interval=10, on_tick=boom)
+        heartbeats = []
+        sampler = ResourceSampler(
+            interval=10, emit=lambda **p: heartbeats.append(p), on_tick=boom
+        )
         sampler.sample_once()  # must not raise
         sampler.stop()
-        # the sample itself still landed before the tick blew up
-        assert len(read_resource_jsonl(tmp_path / RESOURCE_FILENAME)) == 1
+        # the heartbeat itself still landed before the tick blew up
+        assert len(heartbeats) == 1
 
-    def test_resolve_interval(self, monkeypatch):
-        from repro.errors import ConfigurationError
-        from repro.obs.resource import DEFAULT_INTERVAL, RESOURCE_INTERVAL_ENV
-
-        monkeypatch.delenv(RESOURCE_INTERVAL_ENV, raising=False)
-        assert resolve_interval(None) == DEFAULT_INTERVAL
-        assert resolve_interval(0.5) == 0.5
-        monkeypatch.setenv(RESOURCE_INTERVAL_ENV, "2.5")
-        assert resolve_interval(None) == 2.5
-        monkeypatch.setenv(RESOURCE_INTERVAL_ENV, "nope")
-        with pytest.raises(ConfigurationError):
-            resolve_interval(None)
+    def test_timeline_summarized_from_heartbeats(self, tmp_path):
+        d = tmp_path / "sampled"
+        with observe(trace_dir=d, stream=True, resource_interval=0.01):
+            _token_replicate((1, 2))
+            time.sleep(0.1)  # let the sampler tick a few times
+        heartbeats = [
+            e for e in read_events_jsonl(d / EVENTS_FILENAME)
+            if e["type"] == "heartbeat"
+        ]
+        assert heartbeats
+        res = profile_session(d).resources
+        assert res["samples"] == len(heartbeats)
+        assert res["rss_peak_bytes"] == max(h["rss_bytes"] for h in heartbeats)
+        assert res["gc_collections"] == (
+            heartbeats[-1]["gc_collections"] - heartbeats[0]["gc_collections"]
+        )
+        assert "resources:" in render_profile(profile_session(d))
 
     def test_summarize_empty(self):
         assert summarize_resources([]) is None

@@ -143,6 +143,10 @@ class TestTailRenderer:
     def test_run_fault_and_close_lines(self):
         r = TailRenderer()
         assert not r.render({"type": "heartbeat"})  # quiet unless verbose
+        checkpoint = {"type": "checkpoint", "runs": 2, "metrics": {"m": "x" * 4096}}
+        assert not r.render(checkpoint)
+        (line,) = TailRenderer(verbose=True).render(checkpoint)
+        assert "2 runs" in line and len(line) < 80  # named, never dumped
         run = {"adversary": "Spooler", "num_nodes": 8, "seed": 3,
                "backend": "reference", "wall_seconds": 0.01}
         (line,) = r.render({"type": "run-complete", "run": run})

@@ -339,3 +339,28 @@ class TestCliBenchHistory:
         capsys.readouterr()
         text = html.read_text()
         assert "EXP-X" in text and "trend" in text.lower()
+
+    def test_report_baseline_accepts_manifest_file(self, tmp_path, capsys):
+        base, cur = tmp_path / "base", tmp_path / "cur"
+        for d in (base, cur):
+            assert main(["thm6", "--quick", "--trace-out", str(d)]) == 0
+        capsys.readouterr()
+        html = tmp_path / "report.html"
+        assert main(["report", str(cur), "--out", str(html),
+                     "--baseline", str(base / "manifest.json")]) == 0
+        capsys.readouterr()
+        assert "Deltas vs baseline" in html.read_text()
+
+    def test_report_baseline_accepts_partial_session(self, tmp_path, capsys):
+        base, cur = tmp_path / "base", tmp_path / "cur"
+        for d in (base, cur):
+            assert main(["thm6", "--quick", "--trace-out", str(d), "--stream"]) == 0
+        capsys.readouterr()
+        (base / "manifest.json").unlink()  # killed before its clean close
+        html = tmp_path / "report.html"
+        assert main(["report", str(cur), "--out", str(html),
+                     "--baseline", str(base)]) == 0
+        capsys.readouterr()
+        text = html.read_text()
+        assert "Deltas vs baseline" in text
+        assert "no shared metrics" not in text  # checkpointed metrics compared
