@@ -45,7 +45,7 @@ it raises :class:`~repro.errors.ConfigurationError` naming the exact
 Observability (see ``docs/OBSERVABILITY.md``): ``--metrics`` collects
 engine counters and per-phase wall-clock timings and appends them to the
 output; ``--trace-out DIR`` additionally persists every engine run as
-``run-NNNN.jsonl`` plus a ``manifest.json``; ``--metrics-out FILE``
+``run-NNNN.jsonl`` plus the session's ``events.jsonl``; ``--metrics-out FILE``
 writes the session registry in OpenMetrics text format.  ``repro
 inspect PATH`` summarizes one persisted run (rounds, bits by node,
 phase timing, realized dynamic diameter) or a whole session directory.
@@ -68,13 +68,14 @@ a TTY; ``--no-progress`` disables).  ``repro bench-diff`` grows
 ``--fail-on-regression`` (CI gate mode) and repeatable ``--tolerance
 NAME=FRAC`` per-metric thresholds.
 
-Streaming telemetry (PR 7): ``--stream`` (with ``--trace-out``; or
-``REPRO_STREAM=1``) makes the session crash-safe — every run/cell/
-fault/progress occurrence appends one fsync'd line to ``events.jsonl``,
-as do a background thread's RSS/CPU/GC ``heartbeat`` samples and
-periodic metrics ``checkpoint`` events, so a killed sweep leaves a
-loadable partial session (``inspect``/``profile``/``report`` mark it
-PARTIAL instead of failing).  ``repro
+Event stream: every ``--trace-out`` session records its runs, spans,
+faults, progress and closing aggregates as one line each in
+``events.jsonl``, written as they happen, so a killed sweep leaves a
+loadable partial session (``inspect``/``audit``/``profile``/``report``
+mark it PARTIAL instead of failing).  ``--stream`` (or
+``REPRO_STREAM=1``) makes it durable: each line is fsync'd, and a
+background thread adds RSS/CPU/GC ``heartbeat`` samples and periodic
+metrics ``checkpoint`` events.  ``repro
 tail SESSION-DIR`` attaches to a live session and follows its events
 (done/total, rates, ETA, faults, retries).  ``repro bench-history
 HISTORY.jsonl`` analyzes the benchmark history store for windowed
@@ -87,7 +88,7 @@ content-addressed result cache, ``repro cache verify`` re-runs a
 sample of cached entries from their stored recipes and asserts
 bit-identity, and ``repro cache gc`` prunes it by size and age.
 ``repro serve`` runs the long-lived sweep daemon (stdlib HTTP/JSON;
-every job is a streaming observation session ``repro tail`` can
+every job is a durable observation session ``repro tail`` can
 attach to) and ``repro submit`` posts an experiment to it, waits, and
 renders the result table exactly as a local run would.
 """
@@ -287,16 +288,17 @@ def add_execution_options(
             dest="stream",
             action="store_true",
             default=None,
-            help="append every run/cell/fault/progress occurrence to the "
-            "session's events.jsonl as it happens (crash-safe telemetry; "
-            "requires --trace-out); default: the REPRO_STREAM environment "
+            help="make the session's events.jsonl durable: fsync every "
+            "line and add resource heartbeats and metrics checkpoints "
+            "(requires --trace-out); default: the REPRO_STREAM environment "
             "variable",
         )
         group.add_argument(
             "--no-stream",
             dest="stream",
             action="store_false",
-            help="disable event streaming even when REPRO_STREAM is set",
+            help="no fsync, heartbeats or checkpoints even when "
+            "REPRO_STREAM is set",
         )
     return parser
 
@@ -328,7 +330,7 @@ def _render_metrics(session) -> str:
 
 def _run_inspect(paths: Sequence[str]) -> int:
     if len(paths) != 1:
-        print("usage: repro inspect <run.jsonl | session-dir | manifest.json>", file=sys.stderr)
+        print("usage: repro inspect <run.jsonl | session-dir>", file=sys.stderr)
         return 2
     from .obs.inspect import inspect_path
 
@@ -346,7 +348,7 @@ def _run_inspect(paths: Sequence[str]) -> int:
 
 def _run_audit(paths: Sequence[str]) -> int:
     if len(paths) != 1:
-        print("usage: repro audit <run.jsonl | session-dir | manifest.json>", file=sys.stderr)
+        print("usage: repro audit <run.jsonl | session-dir>", file=sys.stderr)
         return 2
     from .obs.audit import audit_path, render_audit
 
@@ -397,18 +399,12 @@ def _run_bench_diff(
 
 def _run_profile(paths: Sequence[str], top: int) -> int:
     if len(paths) != 1:
-        print("usage: repro profile <session-dir | manifest.json>", file=sys.stderr)
+        print("usage: repro profile <session-dir>", file=sys.stderr)
         return 2
-    import pathlib
-
-    from .obs.manifest import MANIFEST_FILENAME
     from .obs.profile import profile_session, render_profile
 
-    path = pathlib.Path(paths[0])
-    if path.is_file() and path.name == MANIFEST_FILENAME:
-        path = path.parent
     try:
-        profile = profile_session(path, top_k=top)
+        profile = profile_session(paths[0], top_k=top)
     except FileNotFoundError as exc:
         print(f"repro profile: {exc}", file=sys.stderr)
         return 2
@@ -424,24 +420,20 @@ def _run_report(
 ) -> int:
     if len(paths) != 1 or out is None:
         print(
-            "usage: repro report <session-dir | manifest.json> --out report.html "
+            "usage: repro report <session-dir> --out report.html "
             "[--baseline DIR]",
             file=sys.stderr,
         )
         return 2
     import pathlib
 
-    from .obs.manifest import MANIFEST_FILENAME
     from .obs.report import write_report
 
-    path = pathlib.Path(paths[0])
-    if path.is_file() and path.name == MANIFEST_FILENAME:
-        path = path.parent
     try:
         out_path = pathlib.Path(out)
         if out_path.parent != pathlib.Path("."):
             out_path.parent.mkdir(parents=True, exist_ok=True)
-        written = write_report(path, out_path, baseline=baseline, top_k=top)
+        written = write_report(paths[0], out_path, baseline=baseline, top_k=top)
     except FileNotFoundError as exc:
         print(f"repro report: {exc}", file=sys.stderr)
         return 2
@@ -679,7 +671,7 @@ def _write_metrics_out(session, path: str) -> None:
 def _run_experiments(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     """Run one experiment (or 'all') under the parsed execution options."""
     if args.stream and args.trace_out is None:
-        parser.error("--stream requires --trace-out (streaming needs a session dir)")
+        parser.error("--stream requires --trace-out (it makes the session's events.jsonl durable)")
 
     observing = args.metrics or args.trace_out is not None or args.metrics_out is not None
     run_config = config_from_args(args)
@@ -764,7 +756,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-out",
         metavar="DIR",
         default=None,
-        help="persist every engine run as JSONL (plus manifest.json) under DIR",
+        help="persist every engine run as JSONL, plus the session's "
+        "events.jsonl, under DIR",
     )
     run_parent.add_argument(
         "--metrics-out",
@@ -899,7 +892,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub = subparsers.add_parser(
-        "tail", help="follow a live streaming session's events"
+        "tail", help="follow a live session's events"
     )
     sub.add_argument("paths", nargs="*", default=[], metavar="SESSION-DIR")
     sub.add_argument(

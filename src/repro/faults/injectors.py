@@ -53,7 +53,7 @@ class FaultRecorder:
     The matrix checker owns one recorder per cell; ``events`` is the
     "injected" side of the injected-vs-detected ledger.  Events are also
     forwarded to the ambient observation session (if any), which
-    persists them as ``faults.jsonl`` next to ``manifest.json``.
+    streams each as a ``fault`` event into its ``events.jsonl``.
     """
 
     def __init__(self):

@@ -45,7 +45,7 @@ must absorb the fault (retry on a rebuilt pool) or re-raise with the
 task's label, never a bare pool error.
 
 Plans serialize to JSONL (:meth:`FaultPlan.to_jsonl`) so the exact
-injection schedule can sit alongside a run's ``manifest.json``.
+injection schedule can sit alongside a session's ``events.jsonl``.
 """
 
 from __future__ import annotations

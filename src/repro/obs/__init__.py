@@ -19,6 +19,10 @@ The layer every quantitative claim runs through:
     Ambient :func:`observe` sessions that capture every engine run and
     every two-party reduction in a scope without threading arguments
     through experiment code.
+``repro.obs.stream``
+    The session record: each persisting session writes ``events.jsonl``
+    beside its run files, and :func:`load_session` reads any session
+    back (manifest, spans, events, run files).
 ``repro.obs.inspect``
     ``repro inspect``: summarize a persisted run (rounds, bits, phase
     timing, realized dynamic diameter) or a whole session directory.
@@ -31,8 +35,8 @@ The layer every quantitative claim runs through:
     tolerances and a blocking ``--fail-on-regression`` gate mode.
 ``repro.obs.spans``
     Hierarchical spans (sweep → cell → replicate → run → phase) with
-    wall + CPU time, persisted as ``spans.jsonl`` (format_version 3)
-    next to a session's runs; a no-op without an active session.
+    wall + CPU time, streamed into the session's ``events.jsonl``; a
+    no-op without an active session.
 ``repro.obs.progress``
     :class:`ProgressReporter` callback protocol + the stderr ticker
     behind ``--progress``: cells done/total, rate, ETA, and
@@ -91,11 +95,10 @@ from .spans import (
     SpanRecorder,
     current_span,
     read_spans_jsonl,
-    session_spans,
     span,
     span_event,
-    write_spans_jsonl,
 )
+from .stream import SessionRecord, load_session
 
 __all__ = [
     "Counter",
@@ -140,8 +143,8 @@ __all__ = [
     "span_event",
     "current_span",
     "read_spans_jsonl",
-    "write_spans_jsonl",
-    "session_spans",
+    "SessionRecord",
+    "load_session",
     "ProgressReporter",
     "StderrTicker",
     "current_reporter",

@@ -17,10 +17,10 @@ paper's lemmas *allow*:
   diverge is construction-dependent; that they diverge only after
   round 1 on Theorem-6 networks is asserted by the test suite instead.
 
-:func:`audit_path` accepts a single ``run-*.jsonl`` file, a session
-directory, or a ``manifest.json`` path; directories audit every
-reduction run they contain and note (but do not fail on) plain engine
-runs, which carry no ledger.  Exit status is the contract: 0 means every
+:func:`audit_path` accepts a single ``run-*.jsonl`` file or a session
+(its directory, ``events.jsonl``, or a format-4 ``manifest.json``);
+sessions audit every reduction run they contain and note (but do not
+fail on) plain engine runs, which carry no ledger.  Exit status is the contract: 0 means every
 ledger checked out, 1 means at least one violated a budget.
 """
 
@@ -36,38 +36,18 @@ from ..core.reduction import (
     cut_budget_bits,
 )
 from .export import PersistedRun, read_trace_jsonl
-from .manifest import MANIFEST_FILENAME
+from .stream import SESSION_FILES, load_session
 
 __all__ = ["AuditReport", "audit_run", "audit_path", "resolve_run_files"]
 
 
 def resolve_run_files(path: pathlib.Path) -> List[pathlib.Path]:
-    """Run JSONL files named by ``path`` (file, session dir, or manifest).
-
-    For a directory, the manifest's ``trace_file`` order is used when a
-    ``manifest.json`` is present (runs recorded but not persisted are
-    skipped); otherwise every ``run-*.jsonl`` in name order.
-    """
+    """Run JSONL files named by ``path``: a run file itself, or the run
+    files of a session (:func:`~repro.obs.stream.load_session`)."""
     path = pathlib.Path(path)
-    if path.is_file():
-        if path.name == MANIFEST_FILENAME:
-            return resolve_run_files(path.parent)
+    if path.is_file() and path.name not in SESSION_FILES:
         return [path]
-    if path.is_dir():
-        manifest = path / MANIFEST_FILENAME
-        if manifest.is_file():
-            import json
-
-            data = json.loads(manifest.read_text())
-            files = [
-                path / r["trace_file"]
-                for r in data.get("runs", ())
-                if r.get("trace_file")
-            ]
-            if files:
-                return files
-        return sorted(path.glob("run-*.jsonl"))
-    raise FileNotFoundError(f"no run file or session directory at {path}")
+    return load_session(path).run_files
 
 
 class AuditReport:

@@ -10,8 +10,9 @@ recorded schedule, computed with the vectorized causality pass in
 format_version 2) have no engine trace, so their report is drawn from
 the run summary and the proof-ledger rollup instead.
 
-``repro inspect`` also accepts a whole session — a directory of
-``run-*.jsonl`` files or its ``manifest.json`` — and renders one table
+``repro inspect`` also accepts a whole session — its directory, its
+``events.jsonl``, or the ``manifest.json`` of a format-4 session — read
+by :func:`repro.obs.stream.load_session`, and renders one table
 summarizing every run (:class:`SessionReport`); per-run detail stays one
 ``repro inspect <run.jsonl>`` away.
 """
@@ -27,7 +28,7 @@ from ..network.dynamic import DynamicSchedule
 from ..network.topology import RoundTopology
 from .export import PersistedRun, read_trace_jsonl
 from .instrumentation import PHASES
-from .manifest import MANIFEST_FILENAME, SessionManifest
+from .stream import SESSION_FILES, load_session
 
 __all__ = [
     "RunReport",
@@ -179,33 +180,18 @@ def inspect_run(path: pathlib.Path) -> RunReport:
 class SessionReport:
     """One table summarizing every run of an observation session.
 
-    Partial sessions — a crashed or still-running streamer with no
-    ``manifest.json`` yet (see :mod:`repro.obs.stream`) — load too: the
-    manifest is synthesized from the event stream and run files,
+    Partial sessions — a crashed or still-running session with no
+    ``session-close`` event (see :mod:`repro.obs.stream`) — load too:
     the report is marked PARTIAL, and run files the kill tore mid-write
     are skipped with a note instead of failing the whole report.
     """
 
-    def __init__(self, directory: pathlib.Path):
-        self.directory = pathlib.Path(directory)
-        from .stream import load_session_manifest
-
-        manifest_path = self.directory / MANIFEST_FILENAME
-        try:
-            self.manifest: Optional[SessionManifest] = load_session_manifest(
-                self.directory
-            )
-        except FileNotFoundError:
-            self.manifest = None
-        self.partial = self.manifest is not None and self.manifest.partial
-        from .audit import resolve_run_files
-
-        self.files = resolve_run_files(self.directory)
-        if not self.files and self.manifest is None:
-            raise ValueError(
-                f"{self.directory}: no run-*.jsonl files and no "
-                f"{MANIFEST_FILENAME} — not an observation session directory"
-            )
+    def __init__(self, path: pathlib.Path):
+        session = load_session(path)
+        self.directory = session.directory
+        self.manifest = session.manifest
+        self.partial = session.partial
+        self.files = session.run_files
         self.runs: List[Tuple[pathlib.Path, PersistedRun]] = []
         #: run files named but unreadable (torn by a kill, or deleted)
         self.skipped: List[str] = []
@@ -217,9 +203,8 @@ class SessionReport:
                     self.skipped.append(f"{path.name}: missing")
                     continue
                 raise ValueError(
-                    f"{path.name} is listed in {MANIFEST_FILENAME} but "
-                    f"missing from {self.directory} — partial or truncated "
-                    f"session"
+                    f"{path.name} is listed in the session but missing "
+                    f"from {self.directory} — partial or truncated session"
                 ) from None
             except ValueError as exc:
                 if self.partial:
@@ -228,14 +213,13 @@ class SessionReport:
                 raise
 
     def render(self) -> str:
-        header = f"session: {self.directory}"
-        if self.manifest is not None:
-            bits = [f"label={self.manifest.label}" if self.manifest.label else None,
-                    "PARTIAL (no clean close)" if self.partial else None,
-                    f"runs={len(self.manifest.runs)}",
-                    f"wall={self.manifest.wall_seconds:.3f}s"
-                    if self.manifest.wall_seconds is not None else None]
-            header += "  (" + ", ".join(b for b in bits if b) + ")"
+        bits = [f"label={self.manifest.label}" if self.manifest.label else None,
+                "PARTIAL (no clean close)" if self.partial else None,
+                f"runs={len(self.manifest.runs)}",
+                f"wall={self.manifest.wall_seconds:.3f}s"
+                if self.manifest.wall_seconds is not None else None]
+        header = (f"session: {self.directory}  ("
+                  + ", ".join(b for b in bits if b) + ")")
         rows = []
         for path, run in self.runs:
             report = RunReport(path, run) if run.is_reduction else None
@@ -265,7 +249,7 @@ class SessionReport:
             rows,
         )
         lines = [header]
-        prov = self.manifest.provenance if self.manifest is not None else {}
+        prov = self.manifest.provenance
         if prov:
             sha = prov.get("git_sha")
             bits = [f"git={str(sha)[:12]}" if sha else None,
@@ -281,17 +265,14 @@ class SessionReport:
 
 
 def inspect_session(path: pathlib.Path) -> SessionReport:
-    """Summarize a whole session directory (or its ``manifest.json``)."""
-    path = pathlib.Path(path)
-    if path.is_file() and path.name == MANIFEST_FILENAME:
-        path = path.parent
+    """Summarize a whole session (anything :func:`load_session` reads)."""
     return SessionReport(path)
 
 
 def inspect_path(path: pathlib.Path):
-    """Dispatch: run file -> :class:`RunReport`, directory or
-    ``manifest.json`` -> :class:`SessionReport`."""
+    """Dispatch: a session directory or file -> :class:`SessionReport`,
+    any other file -> :class:`RunReport`."""
     path = pathlib.Path(path)
-    if path.is_dir() or path.name == MANIFEST_FILENAME:
+    if path.is_dir() or path.name in SESSION_FILES:
         return inspect_session(path)
     return inspect_run(path)

@@ -5,8 +5,11 @@ count, adversary, bandwidth factor, package version, wall time — so a
 persisted JSONL trace can be replayed from metadata alone: construct the
 same nodes/adversary, pass ``CoinSource(seed)``, and the engine
 reproduces the run bit for bit (the whole simulator is deterministic in
-the seed).  Session manifests (``manifest.json``) aggregate the per-run
-manifests of everything recorded under one observation session.
+the seed).  A :class:`SessionManifest` aggregates the per-run manifests
+of everything recorded under one observation session; it is read back
+from the session's ``events.jsonl`` (:func:`repro.obs.stream.load_session`),
+or from the ``manifest.json`` that sessions of format 4 and older wrote
+at close.
 """
 
 from __future__ import annotations
@@ -27,13 +30,14 @@ __all__ = [
 
 MANIFEST_FILENAME = "manifest.json"
 
-#: Version 3 added the ``spans.jsonl`` sidecar (``spans_file``).
-#: Version 4 added provenance (git SHA, hostname, cpu_count, python
-#: version) and the event-stream pointer (``events_file``; manifests
-#: written before stream format 2 also point at a resource-timeline
-#: sidecar, which is ignored).  Older manifests load unchanged — every
-#: consumer treats the new fields as optional with defaults.
-SESSION_FORMAT_VERSION = 4
+#: Version 3 added the ``spans.jsonl`` sidecar.  Version 4 added
+#: provenance (git SHA, hostname, cpu_count, python version) and the
+#: optional ``events.jsonl`` stream.  Version 5 writes ``events.jsonl``
+#: only: the manifest, spans and faults are events in it, and no
+#: ``manifest.json``/``spans.jsonl``/``faults.jsonl`` is written.  Older
+#: sessions load unchanged; the ``spans_file``/``events_file`` pointers
+#: of version-3/4 manifests are ignored.
+SESSION_FORMAT_VERSION = 5
 
 
 @functools.lru_cache(maxsize=1)
@@ -149,42 +153,18 @@ class SessionManifest:
     #: largest process-pool worker count whose runs merged into this
     #: session (0 = everything ran inline/sequentially)
     workers: int = 0
-    #: spans sidecar filename relative to the session directory, once
-    #: persisted (``None``: no spans were recorded, or a pre-v3 session)
-    spans_file: Optional[str] = None
     #: provenance stamp (git SHA, hostname, cpu_count, python version);
     #: {} on pre-v4 manifests — consumers show what is there
     provenance: Dict[str, Any] = field(default_factory=dict)
-    #: the event stream (``events.jsonl``), when the session streamed
-    #: (``None`` otherwise or pre-v4)
-    events_file: Optional[str] = None
     format_version: int = SESSION_FORMAT_VERSION
-    #: loader-side marker: True when this manifest was *synthesized* for
-    #: a crashed/in-progress session (see :mod:`repro.obs.stream`);
-    #: never persisted — a written manifest implies a clean close
+    #: loader-side marker: True when the session's ``events.jsonl`` has no
+    #: ``session-close`` line — it crashed or is still running (see
+    #: :mod:`repro.obs.stream`)
     partial: bool = False
-
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "format_version": self.format_version,
-            "package_version": self.package_version,
-            "wall_seconds": self.wall_seconds,
-            "workers": self.workers,
-            "spans_file": self.spans_file,
-            "provenance": dict(self.provenance),
-            "events_file": self.events_file,
-            "runs": [r.as_dict() for r in self.runs],
-            "metrics": self.metrics,
-        }
-
-    def write(self, directory: pathlib.Path) -> pathlib.Path:
-        path = pathlib.Path(directory) / MANIFEST_FILENAME
-        path.write_text(json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n")
-        return path
 
     @classmethod
     def load(cls, path: pathlib.Path) -> "SessionManifest":
+        """Read a format-4-or-older ``manifest.json``."""
         data = json.loads(pathlib.Path(path).read_text())
         return cls(
             label=data.get("label"),
@@ -193,8 +173,6 @@ class SessionManifest:
             runs=[RunManifest.from_dict(r) for r in data.get("runs", ())],
             metrics=data.get("metrics", {}),
             workers=data.get("workers", 0),
-            spans_file=data.get("spans_file"),
             provenance=data.get("provenance", {}) or {},
-            events_file=data.get("events_file"),
             format_version=data.get("format_version", 2),
         )

@@ -1,14 +1,14 @@
 """``repro tail``: attach to a live (or dead) session directory.
 
-The event stream (:mod:`repro.obs.stream`) is written fsync'd
-line-at-a-time precisely so that *another process* can follow it.  This
+Every persisting session writes its event stream (:mod:`repro.obs.stream`)
+line at a time precisely so that *another process* can follow it.  This
 module is that follower: open ``events.jsonl``, render what has
 happened so far, then poll the file for growth and render each new
 event as one line — progress scopes collapse into an updating
 ``done/total  rate/s  ETA`` status, runs/cells/faults/retries print as
 discrete lines.  Every ``repro serve`` job streams into its own session
 directory, so the same follower attaches to a daemon job as to a
-``--stream`` run on the command line.
+``--trace-out`` run on the command line.
 
 Attach semantics:
 
@@ -18,10 +18,11 @@ Attach semantics:
 * a session that stops growing without ``session-close`` is either
   still computing or dead; tail keeps following until ``timeout``
   seconds pass with no new events, then reports the session as stalled
-  or killed (a ``manifest.json`` appearing also ends the tail — the
-  writer closed between polls);
+  or killed;
 * ``follow=False`` renders the current contents and exits — the
-  post-mortem mode the crash-safety tests drive.
+  post-mortem mode the crash-safety tests drive;
+* a format-4 session written without a stream has nothing to follow:
+  tail prints its one close line from :func:`~repro.obs.stream.load_session`.
 """
 
 from __future__ import annotations
@@ -29,10 +30,9 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import Any, Callable, Dict, List, TextIO
 
-from .manifest import MANIFEST_FILENAME
-from .stream import EVENTS_FILENAME
+from .stream import EVENTS_FILENAME, load_session
 
 __all__ = ["TailRenderer", "iter_event_lines", "tail_session"]
 
@@ -193,21 +193,20 @@ def iter_event_lines(
     timeout: float = 10.0,
     clock: Callable[[], float] = time.monotonic,
     sleep: Callable[[float], None] = time.sleep,
-    stop: Optional[Callable[[], bool]] = None,
 ):
     """Yield parsed events from ``events.jsonl``, optionally following.
 
     Partial trailing lines (a writer mid-``write``) are buffered until
     the newline lands; undecodable complete lines are skipped, matching
     :func:`repro.obs.stream.read_events_jsonl`.  The generator ends on
-    ``follow=False`` EOF, a ``session-close`` event, ``timeout`` seconds
-    without growth, or ``stop()`` returning True.
+    ``follow=False`` EOF, a ``session-close`` event, or ``timeout``
+    seconds without growth.
     """
     path = pathlib.Path(path)
     buffer = ""
     last_growth = clock()
-    # draining: one final read-to-EOF after the stop condition fires, so
-    # lines the writer flushed just before closing are never missed.
+    # draining: one final read-to-EOF after the timeout fires, so lines
+    # the writer flushed just before it are never missed.
     draining = not follow
     with path.open(encoding="utf-8") as fh:
         while True:
@@ -234,7 +233,7 @@ def iter_event_lines(
                 continue
             if draining:
                 return
-            if (stop is not None and stop()) or clock() - last_growth > timeout:
+            if clock() - last_growth > timeout:
                 draining = True
                 continue
             sleep(poll)
@@ -252,33 +251,32 @@ def tail_session(
 ) -> int:
     """Attach to ``directory`` and print its event stream to ``out``.
 
-    Returns an exit code: 0 when the session closed cleanly (or a
-    manifest.json shows a clean close happened), 1 when the stream ended
-    without a close marker — a crashed, killed, or stalled session.
-    Never raises for partial sessions; a directory with no event stream
-    at all (and none appearing within ``timeout``) is an error the
-    caller turns into usage exit code 2.
+    Returns an exit code: 0 when the session closed cleanly, 1 when the
+    stream ended without a close marker — a crashed, killed, or stalled
+    session.  A directory with no session in it (and no event stream
+    appearing within ``timeout``) raises what
+    :func:`~repro.obs.stream.load_session` raises, which the caller
+    turns into usage exit code 2.
     """
     directory = pathlib.Path(directory)
     events_path = directory / EVENTS_FILENAME
+    renderer = TailRenderer(verbose=verbose)
     waited = clock()
     while not events_path.is_file():
         if not follow or clock() - waited > timeout:
-            raise FileNotFoundError(
-                f"{directory}: no {EVENTS_FILENAME} — session never streamed "
-                f"(run it with --stream or REPRO_STREAM=1)"
-            )
+            # nothing to follow: a format-4 session written without a
+            # stream (load_session raises when there is no session at all)
+            session = load_session(directory)
+            renderer.runs = len(session.manifest.runs)
+            renderer.closed = not session.partial
+            break
         sleep(poll)
-
-    renderer = TailRenderer(verbose=verbose)
-    # A manifest appearing means the writer closed while we slept
-    # between polls; one final non-follow pass will see session-close.
-    stop = (directory / MANIFEST_FILENAME).is_file
-    for event in iter_event_lines(
-        events_path, follow=follow, poll=poll, timeout=timeout,
-        clock=clock, sleep=sleep, stop=stop,
-    ):
-        for line in renderer.render(event):
-            print(line, file=out)
+    else:  # the stream exists: render it
+        for event in iter_event_lines(
+            events_path, follow=follow, poll=poll, timeout=timeout,
+            clock=clock, sleep=sleep,
+        ):
+            for line in renderer.render(event):
+                print(line, file=out)
     print(renderer.summary(), file=out)
     return 0 if renderer.closed else 1

@@ -16,6 +16,7 @@ from repro.faults import FaultPlan, FaultRecorder, FaultSpec, wire_engine_faults
 from repro.faults.injectors import CORRUPT_PAYLOAD, FaultyCoinSource, FaultyNode
 from repro.network.adversaries import RandomConnectedAdversary
 from repro.obs.runtime import observe
+from repro.obs.stream import read_events_jsonl
 from repro.protocols.flooding import GossipMaxNode
 from repro.sim.coins import CoinSource
 from repro.sim.engine import SynchronousEngine
@@ -111,8 +112,16 @@ class TestEngineInjections:
         assert CORRUPT_PAYLOAD[1] > 10**5
 
 
+def _fault_events(trace_dir):
+    return [
+        e["fault"] for e in read_events_jsonl(trace_dir / "events.jsonl")
+        if e["type"] == "fault"
+    ]
+
+
 class TestFaultObservability:
     def test_injections_persist_as_faults_jsonl(self, tmp_path):
+        """Each injection is a ``fault`` event on disk before close."""
         recorder = FaultRecorder()
         plan = FaultPlan.single(
             SEED, FaultSpec("over-budget", "engine", round=2, target=1, params={"bits": 2048})
@@ -121,11 +130,8 @@ class TestFaultObservability:
         with observe(trace_dir=trace_dir) as session:
             with pytest.raises(BandwidthExceeded):
                 _engine(plan, recorder).run(10)
-        assert session.faults == recorder.events
-        lines = [
-            json.loads(l)
-            for l in (trace_dir / "faults.jsonl").read_text().splitlines()
-        ]
+            lines = _fault_events(trace_dir)
+        assert session.faults == recorder.events == lines
         assert len(lines) == 1
         assert lines[0]["fault"] == "over-budget"
         assert lines[0]["expect"] == "BandwidthExceeded"
@@ -135,7 +141,10 @@ class TestFaultObservability:
         trace_dir = tmp_path / "clean"
         with observe(trace_dir=trace_dir):
             _engine(None, FaultRecorder()).run(5)
-        assert not (trace_dir / "faults.jsonl").exists()
+        assert _fault_events(trace_dir) == []
+        assert sorted(p.name for p in trace_dir.iterdir()) == [
+            "events.jsonl", "run-0001.jsonl",
+        ]
 
     def test_recorder_events_for(self):
         recorder = FaultRecorder()

@@ -3,7 +3,7 @@
 The scenario the event stream exists for: a ``REPRO_WORKERS=2`` sweep
 runs some cells to completion, then wedges on a hung worker (the fault
 subsystem's ``hangy_task``) and is SIGKILL'd — no atexit, no flush, no
-manifest.  The partial session must load under ``inspect``, ``profile``
+``session-close``.  The partial session must load under ``inspect``, ``profile``
 and ``tail``, showing exactly the completed prefix.
 """
 
@@ -22,12 +22,7 @@ import pytest
 from repro.obs.export import read_trace_jsonl
 from repro.obs.inspect import inspect_session
 from repro.obs.profile import profile_session
-from repro.obs.stream import (
-    EVENTS_FILENAME,
-    is_partial_session,
-    load_session_manifest,
-    read_events_jsonl,
-)
+from repro.obs.stream import EVENTS_FILENAME, load_session, read_events_jsonl
 from repro.obs.tail import tail_session
 
 _SEEDS = (1, 2, 3)
@@ -108,8 +103,9 @@ def killed_session(tmp_path_factory):
 
 class TestKilledSweep:
     def test_partial_session_detected(self, killed_session):
-        assert is_partial_session(killed_session)
-        assert not (killed_session / "manifest.json").exists()
+        assert load_session(killed_session).partial
+        events = read_events_jsonl(killed_session / EVENTS_FILENAME)
+        assert "session-close" not in {e["type"] for e in events}
 
     def test_events_match_completed_prefix(self, killed_session):
         events = read_events_jsonl(killed_session / EVENTS_FILENAME)
@@ -127,7 +123,7 @@ class TestKilledSweep:
         assert file_seeds == streamed_seeds
 
     def test_manifest_synthesized_with_every_run(self, killed_session):
-        manifest = load_session_manifest(killed_session)
+        manifest = load_session(killed_session).manifest
         assert manifest.partial
         assert len(manifest.runs) == len(_SEEDS)
         assert manifest.provenance.get("hostname")

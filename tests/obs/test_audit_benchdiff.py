@@ -185,8 +185,8 @@ class TestCliIntegration:
         out = capsys.readouterr().out
         assert "session:" in out and "reduction" in out
         assert "run-0001.jsonl" in out
-        # manifest.json path works too
-        assert main(["inspect", str(trace / "manifest.json")]) == 0
+        # the events.jsonl path works too
+        assert main(["inspect", str(trace / "events.jsonl")]) == 0
 
     def test_metrics_out_writes_openmetrics(self, tmp_path, capsys):
         prom = tmp_path / "m.prom"

@@ -8,12 +8,12 @@ from repro.network.adversaries import RandomConnectedAdversary, StaticAdversary
 from repro.network.causality import dynamic_diameter
 from repro.network.generators import line_edges
 from repro.obs import (
-    SessionManifest,
     current_session,
     inspect_run,
     observe,
     read_trace_jsonl,
 )
+from repro.obs.stream import load_session
 from repro.obs.instrumentation import PHASES
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
 from repro.sim.coins import CoinSource
@@ -35,9 +35,8 @@ class TestObserveSession:
         assert eng.instrumentation is None
 
     def test_session_captures_every_engine_run(self, tmp_path):
-        # stream=False: the exact-listing assertion below documents the
-        # baseline session layout (streaming adds sidecars, tested in
-        # test_stream.py)
+        # the exact listing documents the session layout: the event
+        # stream and one file per run, durable or not (test_stream.py)
         with observe(trace_dir=tmp_path, label="cell", stream=False) as session:
             assert current_session() is session
             run_gossip(rounds=10, seed=1)
@@ -45,10 +44,9 @@ class TestObserveSession:
         assert current_session() is None
         assert session.num_runs == 2
         files = sorted(p.name for p in tmp_path.iterdir())
-        assert files == ["manifest.json", "run-0001.jsonl", "run-0002.jsonl",
-                         "spans.jsonl"]
+        assert files == ["events.jsonl", "run-0001.jsonl", "run-0002.jsonl"]
 
-        manifest = SessionManifest.load(tmp_path / "manifest.json")
+        manifest = load_session(tmp_path).manifest
         assert manifest.label == "cell"
         assert [r.seed for r in manifest.runs] == [1, 2]
         assert all(r.adversary == "RandomConnectedAdversary" for r in manifest.runs)

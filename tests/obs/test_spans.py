@@ -8,7 +8,8 @@ The load-bearing properties:
 * **zero cost without a session** — no ambient session means ``span``
   yields ``None``, records nothing, and leaves engine results
   bit-identical (trace fingerprints unchanged);
-* **v2 compatibility** — a session without ``spans.jsonl`` still
+* **v2 compatibility** — a session without spans (a copy of the
+  committed format-4 fixture with its ``spans.jsonl`` removed) still
   inspects, audits, and profiles (to an empty profile) cleanly.
 """
 
@@ -17,6 +18,7 @@ from __future__ import annotations
 import io
 import json
 import pathlib
+import shutil
 from collections import Counter
 
 import pytest
@@ -43,11 +45,10 @@ from repro.obs.spans import (
     SpanRecorder,
     current_span,
     read_spans_jsonl,
-    session_spans,
     span,
     span_event,
-    write_spans_jsonl,
 )
+from repro.obs.stream import EVENTS_FILENAME, load_session
 from repro.protocols.flooding import GossipMaxNode, TokenFloodNode
 from repro.sim.coins import CoinSource
 from repro.sim.config import RunConfig
@@ -74,6 +75,19 @@ def _token_replicate(seeds, workers, backend="reference"):
         seeds=seeds,
         config=RunConfig(max_rounds=24, workers=workers, backend=backend),
     )
+
+
+#: a format-4 session written without a stream (manifest.json,
+#: spans.jsonl, faults.jsonl and three engine runs)
+UNSTREAMED = pathlib.Path(__file__).resolve().parents[1] / "data" / "v4_session" / "unstreamed"
+
+
+def _without_spans(tmp_path):
+    """A copy of the unstreamed fixture with no spans: a v2 session."""
+    d = tmp_path / "v2"
+    shutil.copytree(UNSTREAMED, d)
+    (d / SPANS_FILENAME).unlink()
+    return d
 
 
 def _shape(spans):
@@ -192,8 +206,8 @@ class TestMergedParallelEqualsSequential:
             exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=0)
         with observe(trace_dir=tmp_path / "par") as par_session:
             exp_known_d_upper_bounds(sizes=(8,), seeds=(21,), workers=2)
-        seq = session_spans(tmp_path / "seq")
-        par = session_spans(tmp_path / "par")
+        seq = load_session(tmp_path / "seq").spans
+        par = load_session(tmp_path / "par").spans
         assert _shape(seq) == _shape(par)
         assert seq_session.num_runs == par_session.num_runs
         roots = [sp for sp in par if sp.parent_id is None]
@@ -202,17 +216,19 @@ class TestMergedParallelEqualsSequential:
 
 class TestPersistence:
     def test_roundtrip_and_format_version(self, tmp_path):
-        with observe() as session:
+        with observe(trace_dir=tmp_path) as session:
             with span("cell", "c", n=4):
                 pass
-        path = tmp_path / SPANS_FILENAME
-        write_spans_jsonl(path, session.spans.spans)
-        header = json.loads(path.read_text().splitlines()[0])
-        assert header["format_version"] == 3
-        loaded = read_spans_jsonl(path)
-        assert [sp.as_dict() for sp in loaded] == [
+        assert [sp.as_dict() for sp in load_session(tmp_path).spans] == [
             sp.as_dict() for sp in session.spans.spans
         ]
+        # format-3/4 sessions kept spans in a sidecar, still read
+        path = UNSTREAMED / SPANS_FILENAME
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["format_version"] == 3
+        legacy = read_spans_jsonl(path)
+        assert _shape(legacy)[("cell", "tokenflood-n5")] == 1
+        assert load_session(UNSTREAMED).spans == legacy
 
     def test_newer_format_version_rejected(self, tmp_path):
         path = tmp_path / SPANS_FILENAME
@@ -220,12 +236,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="format_version"):
             read_spans_jsonl(path)
 
-    def test_session_writes_spans_sidecar(self, tmp_path):
+    def test_session_streams_its_spans(self, tmp_path):
         with observe(trace_dir=tmp_path) as session:
             run_gossip(rounds=4)
-        assert (tmp_path / SPANS_FILENAME).is_file()
-        assert session.manifest.spans_file == SPANS_FILENAME
-        assert _shape(session_spans(tmp_path)) == _shape(session.spans.spans)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            EVENTS_FILENAME, "run-0001.jsonl",
+        ]
+        assert _shape(load_session(tmp_path).spans) == _shape(session.spans.spans)
 
 
 class TestV2SessionCompat:
@@ -233,24 +250,21 @@ class TestV2SessionCompat:
 
     @pytest.fixture()
     def v2_session(self, tmp_path):
-        with observe(trace_dir=tmp_path):
-            run_gossip(rounds=4)
-        (tmp_path / SPANS_FILENAME).unlink()
-        manifest_path = tmp_path / "manifest.json"
+        d = _without_spans(tmp_path)
+        manifest_path = d / "manifest.json"
         data = json.loads(manifest_path.read_text())
         data.pop("spans_file", None)
         data.pop("format_version", None)
         manifest_path.write_text(json.dumps(data))
-        return tmp_path
+        return d
 
     def test_loads_inspects_audits(self, v2_session):
         from repro.obs.audit import audit_path
         from repro.obs.inspect import inspect_session
-        from repro.obs.manifest import SessionManifest
 
-        manifest = SessionManifest.load(v2_session / "manifest.json")
-        assert manifest.format_version == 2
-        assert manifest.spans_file is None
+        record = load_session(v2_session)
+        assert record.manifest.format_version == 2
+        assert record.spans == []
         report = inspect_session(v2_session)
         assert "run-0001.jsonl" in report.render()
         # no reduction runs: audit reports "nothing to audit" (2), the
@@ -438,10 +452,7 @@ class TestCLI:
     def test_profile_v2_session(self, tmp_path, capsys):
         from repro.cli import main
 
-        with observe(trace_dir=tmp_path):
-            run_gossip(rounds=4)
-        (tmp_path / SPANS_FILENAME).unlink()
-        assert main(["profile", str(tmp_path)]) == 0
+        assert main(["profile", str(_without_spans(tmp_path))]) == 0
         assert "no spans recorded" in capsys.readouterr().out
 
     def test_profile_wrong_arity(self, capsys):

@@ -14,7 +14,6 @@ import pathlib
 import pytest
 
 from repro.obs import observe
-from repro.obs.manifest import MANIFEST_FILENAME
 from repro.obs.stream import EVENTS_FILENAME
 from repro.obs.tail import TailRenderer, iter_event_lines, tail_session
 
@@ -128,16 +127,6 @@ class TestIterEventLines:
         ))
         assert [e["type"] for e in events] == ["stream-start", "run-complete"]
 
-    def test_stop_callback_ends_follow(self, tmp_path):
-        path = tmp_path / EVENTS_FILENAME
-        _write(path, _line("stream-start"))
-        timer = FakeTimer()
-        events = list(iter_event_lines(
-            path, follow=True, poll=0.2, timeout=60,
-            clock=timer.clock, sleep=timer.sleep, stop=lambda: True,
-        ))
-        assert [e["type"] for e in events] == ["stream-start"]
-
 
 class TestTailRenderer:
     def test_run_fault_and_close_lines(self):
@@ -218,8 +207,10 @@ class TestTailSession:
         assert "no close marker" in out.getvalue()
 
     def test_no_stream_raises_for_exit_two(self, tmp_path):
-        with pytest.raises(FileNotFoundError, match="REPRO_STREAM"):
+        with pytest.raises(ValueError, match="not an observation session"):
             tail_session(tmp_path, io.StringIO(), follow=False)
+        with pytest.raises(FileNotFoundError):
+            tail_session(tmp_path / "missing", io.StringIO(), follow=False)
 
     def test_waits_for_stream_to_appear(self, tmp_path):
         def writer(nth_sleep):
@@ -234,17 +225,3 @@ class TestTailSession:
             clock=timer.clock, sleep=timer.sleep,
         )
         assert code == 0 and "closed cleanly" in out.getvalue()
-
-    def test_manifest_appearance_stops_follow(self, tmp_path):
-        # writer closed between polls: manifest.json exists, close marker
-        # already in the file — the stop hook ends the follow loop
-        _write(tmp_path / EVENTS_FILENAME,
-               _line("stream-start"), _line("session-close", seq=1))
-        (tmp_path / MANIFEST_FILENAME).write_text("{}")
-        timer = FakeTimer()
-        out = io.StringIO()
-        code = tail_session(
-            tmp_path, out, follow=True, poll=0.2, timeout=30,
-            clock=timer.clock, sleep=timer.sleep,
-        )
-        assert code == 0

@@ -12,6 +12,7 @@ import threading
 
 import pytest
 
+from repro.obs.stream import load_session
 from repro.serve.client import (
     ServeError,
     job_status,
@@ -66,10 +67,11 @@ class TestRoundTrip:
         assert cold["cache_events"]["store"] > 0
         assert cold["cache_events"].get("hit", 0) == 0
 
-        # every job runs under a streaming observation session
+        # every job runs under a durable observation session
         session_dir = tmp_path / "serve" / "sessions" / "job-0001"
-        assert (session_dir / "events.jsonl").exists()
-        assert (session_dir / "manifest.json").exists()
+        assert {p.name for p in session_dir.iterdir()
+                if not p.name.startswith("run-")} == {"events.jsonl"}
+        assert not load_session(session_dir).partial
 
         # the identical resubmission is answered from cache, bit-identically
         second = submit_job(base_url, "thm6", quick=True, workers=0)

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import shutil
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.obs.stream import load_session
+
+#: committed format-4 sessions (tests/obs/test_v4_compat.py)
+FIXTURES = pathlib.Path(__file__).resolve().parent / "data" / "v4_session"
 
 
 class TestCli:
@@ -72,11 +78,11 @@ class TestCliObservability:
         out_dir = tmp_path / "thm8"
         assert main(["thm8", "--quick", "--trace-out", str(out_dir), "--metrics"]) == 0
         capsys.readouterr()
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["label"] == "thm8"
-        assert manifest["runs"], "at least one engine run persisted"
+        manifest = load_session(out_dir).manifest
+        assert manifest.label == "thm8"
+        assert manifest.runs, "at least one engine run persisted"
         run_files = sorted(out_dir.glob("run-*.jsonl"))
-        assert len(run_files) == len(manifest["runs"])
+        assert len(run_files) == len(manifest.runs)
 
         # acceptance: inspect reports rounds / bits / per-node bits and a
         # phase breakdown summing to within 10% of the run's wall time
@@ -127,7 +133,7 @@ class TestCliEdgeCases:
         assert "not an observation session directory" in err
 
     def test_inspect_partial_session(self, tmp_path, capsys):
-        # manifest.json names a run file that was never written
+        # a format-4 manifest.json names a run file that was never written
         session = tmp_path / "partial"
         session.mkdir()
         (session / "manifest.json").write_text(
@@ -242,17 +248,20 @@ class TestCliStreaming:
         ]
         types = [e["type"] for e in events]
         assert types[0] == "stream-start" and types[-1] == "session-close"
-        assert "run-complete" in types
-        manifest = json.loads((out_dir / "manifest.json").read_text())
-        assert manifest["events_file"] == "events.jsonl"
-        assert manifest["provenance"]["hostname"]
+        assert "run-complete" in types and "checkpoint" in types
+        assert {p.name for p in out_dir.iterdir()
+                if not p.name.startswith("run-")} == {"events.jsonl"}
+        assert load_session(out_dir).manifest.provenance["hostname"]
 
     def test_no_stream_overrides_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM", "1")
         out_dir = tmp_path / "sess"
-        assert main(["fig1", "--trace-out", str(out_dir), "--no-stream"]) == 0
+        assert main(["thm6", "--quick", "--trace-out", str(out_dir),
+                     "--no-stream", "--no-progress"]) == 0
         capsys.readouterr()
-        assert not (out_dir / "events.jsonl").exists()
+        types = {e["type"] for e in load_session(out_dir).events}
+        assert "run-complete" in types
+        assert not types & {"checkpoint", "heartbeat"}  # not durable
 
     def test_inspect_shows_provenance(self, tmp_path, capsys):
         out_dir = tmp_path / "sess"
@@ -271,9 +280,20 @@ class TestCliStreaming:
         out = capsys.readouterr().out
         assert "closed cleanly" in out
 
-    def test_tail_unstreamed_directory_exits_two(self, tmp_path, capsys):
-        assert main(["tail", str(tmp_path), "--no-follow"]) == 2
-        assert "REPRO_STREAM" in capsys.readouterr().err
+    def test_tail_unstreamed_session_exits_zero(self, tmp_path, capsys):
+        out_dir = tmp_path / "sess"
+        assert main(["thm6", "--quick", "--trace-out", str(out_dir),
+                     "--no-progress"]) == 0
+        capsys.readouterr()
+        assert main(["tail", str(out_dir), "--no-follow"]) == 0
+        assert "closed cleanly" in capsys.readouterr().out
+        # a format-4 session written without a stream: one close line
+        legacy = tmp_path / "legacy"
+        shutil.copytree(FIXTURES / "unstreamed", legacy)
+        assert main(["tail", str(legacy), "--no-follow"]) == 0
+        assert capsys.readouterr().out == "tail: 3 runs — closed cleanly\n"
+        assert main(["tail", str(tmp_path / "empty"), "--no-follow"]) == 2
+        assert "no session directory" in capsys.readouterr().err
 
     def test_tail_without_path_errors(self, capsys):
         assert main(["tail"]) == 2
@@ -341,11 +361,11 @@ class TestCliBenchHistory:
         assert "EXP-X" in text and "trend" in text.lower()
 
     def test_report_baseline_accepts_manifest_file(self, tmp_path, capsys):
-        base, cur = tmp_path / "base", tmp_path / "cur"
-        for d in (base, cur):
-            assert main(["thm6", "--quick", "--trace-out", str(d)]) == 0
+        cur = tmp_path / "cur"
+        assert main(["thm6", "--quick", "--trace-out", str(cur)]) == 0
         capsys.readouterr()
         html = tmp_path / "report.html"
+        base = FIXTURES / "clean"  # a format-4 session's manifest.json
         assert main(["report", str(cur), "--out", str(html),
                      "--baseline", str(base / "manifest.json")]) == 0
         capsys.readouterr()
@@ -356,7 +376,8 @@ class TestCliBenchHistory:
         for d in (base, cur):
             assert main(["thm6", "--quick", "--trace-out", str(d), "--stream"]) == 0
         capsys.readouterr()
-        (base / "manifest.json").unlink()  # killed before its clean close
+        events = base / "events.jsonl"  # killed before its clean close
+        events.write_text("".join(events.read_text().splitlines(True)[:-1]))
         html = tmp_path / "report.html"
         assert main(["report", str(cur), "--out", str(html),
                      "--baseline", str(base)]) == 0
